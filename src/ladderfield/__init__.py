@@ -7,8 +7,6 @@ and Monte Carlo oracles, two-source interference phases, and
 momentum-space gauge kernels for the continuum checks.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .chain_complex import (

@@ -40,6 +40,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_n(n_vertices) -> int:
+    """The ladder vertex count as an int; ValueError unless it is an even integer >= 4."""
+    n = n_vertices
+    if n != int(n) or n < 4 or n % 2:
+        raise ValueError(f"vertex count must be an even integer >= 4, got {n_vertices!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Link:
     """One oriented link: tail -> head, with a temporal/spatial tag."""
@@ -88,10 +96,7 @@ def build_ladder_graph(n_vertices: int) -> LadderGraph:
     Raises ValueError unless ``n_vertices`` is an even integer >= 4.
     The result has 3N/2 - 2 links and N/2 - 1 plaquettes.
     """
-    n = n_vertices
-    if n != int(n) or n < 4 or n % 2:
-        raise ValueError(f"vertex count must be an even integer >= 4, got {n_vertices!r}")
-    n = int(n)
+    n = check_n(n_vertices)
     half = n // 2
 
     links: list[Link] = []

@@ -45,7 +45,9 @@ OUTPUT_DIR_ENV = "LADDERFIELD_OUTPUT_DIR"
 
 #: Vertex values behind the six-vertex preset; its gradient supplies link values.
 PRESET_VERTICES = {"twin6": np.array([0, 2, 1, 4, 3, 7])}
-PRESET_N = {"twin6": 6}
+
+_SPECTRUM_HEADER = "index,eigenvalue,parity,is_zero_mode"
+_TWINSLIT_HEADER = "y,delta_phi,n_nearest,is_maximum,nrqm_intensity"
 
 
 def _fmt(x) -> str:
@@ -78,7 +80,10 @@ def _read_values(path: str) -> np.ndarray:
     if not rows:
         raise ValueError(f"no values found in {path}")
     if all(isinstance(r, int) for r in rows):
-        return np.array(rows, dtype=np.int64)
+        try:
+            return np.array(rows, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"integer value in {path} outside the int64 range") from exc
     return np.array(rows, dtype=float)
 
 
@@ -98,7 +103,7 @@ def _cmd_spectrum(args) -> str:
     if args.lorentzian:
         spectrum = continue_to_lorentzian(spectrum, args.n)
     lines = _meta(args.seed)
-    lines.append("index,eigenvalue,parity,is_zero_mode")
+    lines.append(_SPECTRUM_HEADER)
     zero = set(spectrum.zero_modes)
     for i in range(spectrum.n_modes):
         parity = spectrum.parity[i] or ""
@@ -108,19 +113,26 @@ def _cmd_spectrum(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _preset(spec: str, n: int | None) -> np.ndarray | None:
+    """Vertex values of a 'preset:NAME' spec (None for any other spec), checked against --n."""
+    if not spec.startswith("preset:"):
+        return None
+    name = spec.split(":", 1)[1]
+    if name not in PRESET_VERTICES:
+        raise ValueError(f"unknown preset {name!r}")
+    size = PRESET_VERTICES[name].size
+    if n is not None and n != size:
+        raise ValueError(f"preset {name!r} fixes N={size}, got --n {n}")
+    return PRESET_VERTICES[name]
+
+
 def _resolve_vertices(args) -> np.ndarray:
     spec = args.from_vertices
     if spec == "random":
         rng = np.random.default_rng(args.seed)
         return rng.integers(-9, 10, size=args.n)
-    if spec.startswith("preset:"):
-        name = spec.split(":", 1)[1]
-        if name not in PRESET_VERTICES:
-            raise ValueError(f"unknown preset {name!r}")
-        if args.n is not None and args.n != PRESET_N[name]:
-            raise ValueError(f"preset {name!r} fixes N={PRESET_N[name]}, got --n {args.n}")
-        return PRESET_VERTICES[name]
-    return _read_values(spec)
+    preset = _preset(spec, args.n)
+    return _read_values(spec) if preset is None else preset
 
 
 def _matrix_block(label: str, M: np.ndarray, indent: str = "    ") -> list[str]:
@@ -167,15 +179,9 @@ def _cmd_scc(args) -> str:
 def _resolve_source(args):
     """(n_vertices, link values) from --source / --n."""
     spec = args.source
-    if spec.startswith("preset:"):
-        name = spec.split(":", 1)[1]
-        if name not in PRESET_VERTICES:
-            raise ValueError(f"unknown preset {name!r}")
-        n = PRESET_N[name]
-        if args.n is not None and args.n != n:
-            raise ValueError(f"preset {name!r} fixes N={n}, got --n {args.n}")
-        c = build_chain_complex(n)
-        return n, gradient_link_values(c, PRESET_VERTICES[name])
+    preset = _preset(spec, args.n)
+    if preset is not None:
+        return preset.size, gradient_link_values(build_chain_complex(preset.size), preset)
     e = _read_values(spec)
     n_float = (e.size + 2) * 2 / 3  # links = 3N/2 - 2
     n = int(round(n_float))
@@ -221,7 +227,7 @@ MAXIMUM_PHASE_TOL = 1e-9
 
 def _cmd_twinslit(args) -> str:
     lines = _meta(args.seed)
-    lines.append("y,delta_phi,n_nearest,is_maximum,nrqm_intensity")
+    lines.append(_TWINSLIT_HEADER)
     for y in _parse_range(args.y_range):
         geometry = SlitGeometry(
             slit_separation=args.d,
@@ -297,9 +303,6 @@ def _cmd_gauge_check(args) -> str:
 
 # ---------------------------------------------------------------------------
 # plot scripts
-
-_SPECTRUM_HEADER = "index,eigenvalue,parity,is_zero_mode"
-_TWINSLIT_HEADER = "y,delta_phi,n_nearest,is_maximum,nrqm_intensity"
 
 
 def emit_plot_script(csv_path) -> Path:

@@ -65,19 +65,29 @@ def project_source(J, spectrum: Spectrum) -> np.ndarray:
     return np.einsum("ij,i->j", spectrum.eigenvectors, J)
 
 
-def _retained(system: SccSystem, spectrum: Spectrum, row_space_tol: float):
-    """Projections and eigenvalues over nonzero modes, after the row-space check."""
-    proj = project_source(system.J, spectrum)
-    norm = float(np.linalg.norm(system.J))
+def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float) -> np.ndarray:
+    """project_source(J), with RowSpaceError for a zero-mode component above row_space_tol * |J|."""
+    proj = project_source(J, spectrum)
     if spectrum.zero_modes:
         worst = float(np.max(np.abs(proj[list(spectrum.zero_modes)])))
-        if worst > row_space_tol * max(norm, 1e-300):
+        if worst > row_space_tol * max(float(np.linalg.norm(J)), 1e-300):
             raise RowSpaceError(
                 "source violates self-consistency: component "
                 f"{worst:.6e} along a zero mode (gauge-volume divergence)"
             )
+    return proj
+
+
+def _retained(system: SccSystem, spectrum: Spectrum, row_space_tol: float):
+    """Projections and eigenvalues over nonzero modes, all of which must be positive."""
+    proj = _row_space_projection(system.J, spectrum, row_space_tol)
     keep = list(spectrum.nonzero_modes)
-    return proj, proj[keep], spectrum.eigenvalues[keep]
+    a = spectrum.eigenvalues[keep]
+    if np.any(a <= 0.0):
+        raise ValueError(
+            f"non-Gaussian-convergent mode: retained eigenvalue {float(np.min(a)):.6e} <= 0"
+        )
+    return proj[keep], a
 
 
 def euclidean_Z(
@@ -92,12 +102,7 @@ def euclidean_Z(
     ``numpy.inf`` to skip the membership check when the caller has
     already projected the source).
     """
-    _, jt, a = _retained(system, spectrum, row_space_tol)
-    if np.any(a <= 0.0):
-        bad = float(a[np.argmin(a)])
-        raise ValueError(
-            f"non-Gaussian-convergent mode: retained eigenvalue {bad:.6e} <= 0"
-        )
+    jt, a = _retained(system, spectrum, row_space_tol)
     exponent = float(np.sum(jt**2 / (2.0 * a)))
     log_mag = float(0.5 * np.sum(np.log(2.0 * np.pi / a))) + exponent
     return PartitionResult(
@@ -124,7 +129,7 @@ def outcome_probability(
         raise ValueError(f"mode {mode} is a zero mode; its outcome density is undefined")
     if not 0 <= mode < spectrum.n_modes:
         raise ValueError(f"mode index {mode} out of range")
-    proj, _, _ = _retained(system, spectrum, row_space_tol)
+    proj = _row_space_projection(system.J, spectrum, row_space_tol)
     a = float(spectrum.eigenvalues[mode])
     if a <= 0.0:
         raise ValueError(f"non-Gaussian-convergent mode: eigenvalue {a:.6e} <= 0")
@@ -143,10 +148,10 @@ def classical_solution(
     Solves K Q = J within the row space, i.e. the pseudoinverse applied
     to the source.
     """
-    _, jt, a = _retained(system, spectrum, row_space_tol)
+    proj = _row_space_projection(system.J, spectrum, row_space_tol)
     keep = list(spectrum.nonzero_modes)
     coeffs = np.zeros(spectrum.n_modes)
-    coeffs[keep] = jt / a
+    coeffs[keep] = proj[keep] / spectrum.eigenvalues[keep]
     return np.einsum("ij,j->i", spectrum.eigenvectors, coeffs)
 
 
@@ -213,11 +218,7 @@ def brute_force_Z(
     so large sources starve the estimator; the result flags itself
     underresolved when the effective sample size collapses.
     """
-    _, jt, a = _retained(system, spectrum, row_space_tol)
-    if np.any(a <= 0.0):
-        raise ValueError(
-            f"non-Gaussian-convergent mode: retained eigenvalue {float(np.min(a)):.6e} <= 0"
-        )
+    jt, a = _retained(system, spectrum, row_space_tol)
     d = int(a.size)
     log_volume = float(0.5 * np.sum(np.log(2.0 * np.pi / a)))
 

@@ -20,13 +20,28 @@ from numbers import Integral
 
 import numpy as np
 
-from .chain_complex import ChainComplex
+from .chain_complex import ChainComplex, _frozen
 from .errors import SccViolation
+from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> bool:
+    """Whether ``scalar * (matrix @ x)`` (or ``scalar * x``) runs in exact int64.
+
+    It does for an Integral scalar and integer arrays; ValueError when
+    |scalar| * max row-L1 of matrix * max|x| reaches 2**63, where int64 could wrap.
+    """
+    arrays = (x,) if matrix is None else (x, matrix)
+    if not isinstance(scalar, Integral) or not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
+        return False
+    row_l1 = 1 if matrix is None else int(np.abs(matrix).sum(axis=1, dtype=np.uint64).max(initial=0))
+    max_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    if abs(int(scalar)) * max(row_l1 * max_x, 1) >= 2**63:
+        raise ValueError(
+            f"integer arithmetic would overflow int64: |{scalar}| * {row_l1} * {max_x} >= 2**63 "
+            "(scalar * largest row sum * largest entry)"
+        )
+    return True
 
 
 def _select_boundary(c: ChainComplex, n: int) -> np.ndarray:
@@ -61,10 +76,8 @@ class SccSystem:
 def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
     """K = beta * d_n @ d_n.T.  Integer beta keeps the result exact."""
     d = _select_boundary(c, n)
-    gram = d @ d.T
-    if isinstance(beta, Integral):
-        return _frozen(int(beta) * gram)
-    return _frozen(float(beta) * gram)
+    scalar = int(beta) if _exact_route(beta, d.T, d) else float(beta)
+    return _frozen(scalar * (d @ d.T))
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
@@ -77,7 +90,7 @@ def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarr
         )
     if not np.all(np.isfinite(e)):
         raise ValueError("cell values must be finite")
-    if np.issubdtype(e.dtype, np.integer) and isinstance(alpha, Integral):
+    if _exact_route(alpha, e, d):
         return _frozen(int(alpha) * (d @ e))
     return _frozen(float(alpha) * (d @ e.astype(float)))
 
@@ -107,6 +120,7 @@ def gradient_link_values(c: ChainComplex, vertex_values) -> np.ndarray:
     v = np.asarray(vertex_values)
     if v.shape != (c.d1.shape[0],):
         raise ValueError(f"vertex values have shape {v.shape}, expected ({c.d1.shape[0]},)")
+    _exact_route(1, v, c.d1.T)  # raises where an integer gradient could wrap
     return _frozen(c.d1.T @ v)
 
 
@@ -136,24 +150,20 @@ def verify_scc(system: SccSystem, vertex_values, tol: float = 1e-12) -> SccRepor
     if v.shape != (system.size,):
         raise ValueError(f"vertex values have shape {v.shape}, expected ({system.size},)")
 
-    exact = (
-        np.issubdtype(system.K.dtype, np.integer)
-        and np.issubdtype(system.J.dtype, np.integer)
-        and np.issubdtype(v.dtype, np.integer)
-        and isinstance(system.alpha, Integral)
-        and isinstance(system.beta, Integral)
-    )
+    J = system.J
+    exact = _exact_route(system.alpha, v, system.K) and _exact_route(system.beta, J)
+    if not exact:
+        v, J = v.astype(float), J.astype(float)
 
     lhs = system.alpha * (system.K @ v)
-    rhs = system.beta * system.J
+    rhs = system.beta * J
     diff = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
 
+    max_residual = float(diff)
     if exact:
         violated = bool(np.any(lhs != rhs))
-        max_residual = float(diff)
     else:
         scale = max(float(np.max(np.abs(lhs), initial=0.0)), float(np.max(np.abs(rhs), initial=0.0)), 1.0)
-        max_residual = float(diff)
         violated = max_residual > tol * scale
 
     if violated:
@@ -180,26 +190,6 @@ def null_space_basis(K, tol: float = 1e-9) -> list[np.ndarray]:
     sign-fixed (largest-magnitude component positive) so the basis is
     reproducible.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    asym = np.max(np.abs(K - K.T), initial=0.0)
-    scale = np.max(np.abs(K), initial=0.0)
-    if asym > 1e-12 * max(scale, 1.0):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-
-    vals, vecs = np.linalg.eigh(K)
-    top = np.max(np.abs(vals), initial=0.0)
-    if top == 0.0:
-        keep = np.arange(K.shape[0])
-    else:
-        keep = np.flatnonzero(np.abs(vals) <= tol * top)
-
-    basis = []
-    for i in keep:
-        x = vecs[:, i].copy()
-        pivot = int(np.argmax(np.abs(x)))
-        if x[pivot] < 0:
-            x = -x
-        basis.append(_frozen(x))
-    return basis
+    vals, vecs = _symmetric_eigh(K)
+    basis = _sign_fix(vecs[:, list(_zero_mode_indices(vals, tol))]).T.copy()
+    return [_frozen(x) for x in basis]

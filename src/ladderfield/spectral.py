@@ -24,9 +24,11 @@ picks up a second null direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .chain_complex import _frozen, check_n
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -36,11 +38,6 @@ ZERO_MODE_RTOL = 1e-9
 
 #: Relative gap below which neighbouring eigenvalues share a degeneracy group.
 DEGENERACY_RTOL = 1e-9
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -99,15 +96,29 @@ def _degeneracy_groups(vals: np.ndarray, rtol: float) -> tuple[tuple[int, ...], 
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for i in range(out.shape[1]):
-        pivot = int(np.argmax(np.abs(out[:, i])))
-        if out[pivot, i] < 0:
-            out[:, i] = -out[:, i]
-    return out
+    """Flip columns in place so each one's largest-magnitude entry is positive.
+
+    Callers pass a fresh copy; copying here too costs one N x N matrix of peak memory.
+    """
+    for i in range(vecs.shape[1]):
+        pivot = int(np.argmax(np.abs(vecs[:, i])))
+        if vecs[pivot, i] < 0:
+            vecs[:, i] = -vecs[:, i]
+    return vecs
 
 
-def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:
+def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
+    """Dense eigensolve of a square symmetric matrix; ValueError otherwise."""
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {K.shape}")
+    asym = np.max(np.abs(K - K.T), initial=0.0)
+    if asym > 1e-12 * max(np.max(np.abs(K), initial=0.0), 1.0):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    return np.linalg.eigh(K)
+
+
+def _assemble(vals, vecs, parity, beta, regime, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
     order = np.argsort(vals, kind="stable")
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
@@ -116,7 +127,7 @@ def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:
         eigenvalues=_frozen(vals),
         eigenvectors=_frozen(_sign_fix(vecs)),
         parity=parity,
-        zero_modes=_zero_mode_indices(vals, ZERO_MODE_RTOL),
+        zero_modes=_zero_mode_indices(vals, zero_tol),
         degeneracy_groups=_degeneracy_groups(vals, DEGENERACY_RTOL),
         beta=float(beta),
         regime=regime,
@@ -129,32 +140,23 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     Eigenvalues are beta (lam_j -+ 1) as in the module docstring;
     eigenvectors come out orthonormal by construction.
     """
-    n = int(n_vertices)
-    if n < 4 or n % 2:
-        raise ValueError(f"vertex count must be an even integer >= 4, got {n_vertices!r}")
+    n = check_n(n_vertices)
     half = n // 2
-
+    j = np.arange(half)
+    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
     vals = np.empty(n)
-    vecs = np.empty((n, n))
-    parity: list[str | None] = []
-    col = 0
-    for j in range(half):
-        lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
-        if j == 0:
-            x = np.full(half, np.sqrt(1.0 / n))
-        else:
-            k = np.arange(1, half + 1)
-            x = np.sqrt(2.0 / n) * np.cos(j * (2 * k - 1) * np.pi / n)
-        vals[col] = beta * (lam - 1.0)
-        vecs[:, col] = np.concatenate([x, x])
-        parity.append(SYMMETRIC)
-        col += 1
-        vals[col] = beta * (lam + 1.0)
-        vecs[:, col] = np.concatenate([x, -x])
-        parity.append(ANTISYMMETRIC)
-        col += 1
+    vals[0::2] = beta * (lam - 1.0)
+    vals[1::2] = beta * (lam + 1.0)
 
-    return _assemble(vals, vecs, parity, beta, "euclidean")
+    # column j of x is the half-vector x_j; mode j fills columns 2j and 2j + 1
+    vecs = np.empty((n, n))
+    x = vecs[:half, 0::2]
+    np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * j + 1, j) * np.pi / n), out=x)
+    x[:, 0] = np.sqrt(1.0 / n)
+    vecs[half:, 0::2] = x
+    vecs[:half, 1::2] = x
+    np.negative(x, out=vecs[half:, 1::2])
+    return _assemble(vals, vecs, [SYMMETRIC, ANTISYMMETRIC] * half, beta, "euclidean")
 
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
@@ -187,13 +189,7 @@ def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
     form.  Raises on non-symmetric input.
     """
     K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    asym = np.max(np.abs(K - K.T), initial=0.0)
-    if asym > 1e-12 * max(np.max(np.abs(K), initial=0.0), 1.0):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-
-    vals, vecs = np.linalg.eigh(K)
+    vals, vecs = _symmetric_eigh(K)
     n = K.shape[0]
 
     parity: list[str | None] = [None] * n
@@ -201,7 +197,6 @@ def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
         swap = parity_swap_matrix(n)
         if np.allclose(swap @ K @ swap, K, rtol=0.0, atol=1e-12 * max(np.max(np.abs(K)), 1.0)):
             groups = _degeneracy_groups(vals, DEGENERACY_RTOL)
-            vecs = vecs.copy()
             for group in groups:
                 idx = list(group)
                 V = vecs[:, idx]
@@ -215,10 +210,7 @@ def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
                     elif abs(wi + 1.0) < 1e-6:
                         parity[pos] = ANTISYMMETRIC
 
-    spectrum = _assemble(vals, vecs, parity, 1.0, "euclidean")
-    if zero_tol != ZERO_MODE_RTOL:
-        spectrum = replace(spectrum, zero_modes=_zero_mode_indices(spectrum.eigenvalues, zero_tol))
-    return spectrum
+    return _assemble(vals, vecs, parity, 1.0, "euclidean", zero_tol)
 
 
 def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:

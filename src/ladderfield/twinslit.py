@@ -50,9 +50,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_complex import build_chain_complex
-from .errors import GaugeObstruction
-from .partition import project_source
+from .chain_complex import build_chain_complex, check_n
+from .errors import GaugeObstruction, RowSpaceError
+from .partition import _row_space_projection
 from .scc import build_source
 from .spectral import Spectrum, continue_to_lorentzian, ladder_spectrum_closed_form
 
@@ -122,19 +122,20 @@ class TwinSlitConfig:
 
 def split_links(link_values, n_vertices: int):
     """(left rail, right rail, rungs) views of a rail-major link vector."""
+    n = check_n(n_vertices)
     e = np.asarray(link_values, dtype=float)
-    half = n_vertices // 2
+    half = n // 2
     if e.shape != (3 * half - 2,):
         raise ValueError(f"link vector has shape {e.shape}, expected ({3 * half - 2},)")
-    return e[: half - 1], e[half - 1 : n_vertices - 2], e[n_vertices - 2 :]
+    return e[: half - 1], e[half - 1 : n - 2], e[n - 2 :]
 
 
 def uniform_link_values(n_vertices: int, e_x: float, e_T: float) -> np.ndarray:
     """Rail-major link vector with every rail link e_T and every rung e_x."""
-    half = n_vertices // 2
-    e = np.empty(3 * half - 2)
-    e[: n_vertices - 2] = e_T
-    e[n_vertices - 2 :] = e_x
+    n = check_n(n_vertices)
+    e = np.empty(3 * (n // 2) - 2)
+    e[: n - 2] = e_T
+    e[n - 2 :] = e_x
     return e
 
 
@@ -172,7 +173,7 @@ def phase_decomposition(
     """
     if regime not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"unknown regime {regime!r}")
-    n = int(n_vertices)
+    n = check_n(n_vertices)
     half = n // 2
     e_left, e_right, e_spatial = split_links(link_values, n)
 
@@ -250,9 +251,7 @@ class TrigIdentityReport:
 
 def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
     """Check the closed-form sine/cotangent identities numerically for this N."""
-    n = int(n_vertices)
-    if n < 4 or n % 2:
-        raise ValueError(f"vertex count must be an even integer >= 4, got {n_vertices!r}")
+    n = check_n(n_vertices)
     half = n // 2
 
     k = np.arange(1, half)
@@ -322,17 +321,14 @@ def conditional_amplitude(
     if not 0 <= mode < spectrum.n_modes:
         raise ValueError(f"mode index {mode} out of range")
 
-    c = build_chain_complex(n)
-    J = build_source(c, 1, links, config.alpha)
-    proj = project_source(J, spectrum)
-    if spectrum.zero_modes:
-        worst = float(np.max(np.abs(proj[list(spectrum.zero_modes)])))
-        if worst > row_space_tol * max(float(np.linalg.norm(J)), 1e-300):
-            raise GaugeObstruction(
-                f"source excites a null direction of the continued operator "
-                f"(component {worst:.6e})",
-                mode_index=int(spectrum.zero_modes[-1]),
-            )
+    J = build_source(build_chain_complex(n), 1, links, config.alpha)
+    try:
+        proj = _row_space_projection(J, spectrum, row_space_tol)
+    except RowSpaceError as exc:
+        raise GaugeObstruction(
+            f"source excites a null direction of the continued operator: {exc}",
+            mode_index=int(spectrum.zero_modes[-1]),
+        ) from exc
 
     retained = [i for i in spectrum.nonzero_modes if i != mode]
     a = spectrum.eigenvalues
@@ -413,11 +409,11 @@ def geometry_to_links(geometry: SlitGeometry, n_vertices: int) -> tuple[float, f
     couplings when e_x^2 = 4 ell / (N lambda); the pair (e_x, e_x_alt)
     then encodes (ell_1, ell_2).
     """
+    n = check_n(n_vertices)
     l1, l2 = path_lengths(geometry)
     lam = geometry.wavelength
     if lam <= 0:
         raise ValueError(f"wavelength must be positive, got {lam}")
-    n = n_vertices
     return (math.sqrt(4.0 * l1 / (n * lam)), math.sqrt(4.0 * l2 / (n * lam)))
 
 

@@ -313,3 +313,58 @@ def test_console_script_is_installed(tmp_path):
     )
     assert launched.returncode == 0, launched.stderr
     assert launched.stdout == f"ladderfield {dist.version}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("spectrum", "--n", "8", "--beta", "2", "--lorentzian"), "spectrum/lorentzian8.csv"),
+        (("partition", "--source", "preset:twin6"), "partition/twin6.csv"),
+        (
+            ("twinslit", "--n", "12", "--d", "20", "--L", "100", "--lambda", "0.5",
+             "--y-range=-50:50:50"),
+            "twinslit/sweep50.csv",
+        ),
+    ],
+)
+def test_output_matches_golden_file(argv, golden):
+    rc, out, _ = run(*argv)
+    assert rc == 0
+    assert out == (FIXTURES / golden).read_text()
+
+
+@pytest.mark.parametrize("n", ["7", "2"])
+def test_twinslit_rejects_bad_vertex_count(n):
+    rc, out, err = run("twinslit", "--n", n, "--d", "10", "--L", "1000", "--lambda", "2",
+                       "--y-range=-4:4:5")
+    assert (rc, out) == (1, "")
+    assert err == f"error: vertex count must be an even integer >= 4, got {n}\n"
+
+
+def test_scc_refuses_vertex_values_that_would_wrap(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text(f"{2**62}\n0\n0\n0\n")
+    rc, out, err = run("scc", "--from-vertices", str(path), "--alpha", "3")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: integer arithmetic would overflow int64")
+
+
+def test_integer_literal_outside_int64_is_an_error(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text(f"{2**70}\n0\n0\n0\n")
+    rc, out, err = run("scc", "--from-vertices", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: integer value in {path} outside the int64 range\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    import ladderfield
+
+    package_parent = Path(ladderfield.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_parent)}
+    done = subprocess.run(
+        [sys.executable, "-m", "ladderfield", "--version"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ladderfield 0.1.0\n"

@@ -230,3 +230,52 @@ def test_eigenpairs_iteration():
     val, vec = pairs[0]
     assert val == s.eigenvalues[0]
     assert_allclose(vec, s.eigenvectors[:, 0])
+
+
+def _reference_closed_form(n, beta):
+    """The per-mode construction of the closed form, with its own sort and sign rule.
+
+    Kept as the reference the vectorized builder must reproduce bit for
+    bit: modes in j order, symmetric before antisymmetric, then a stable
+    ascending sort, then each column flipped so its largest-magnitude
+    entry is positive.
+    """
+    half = n // 2
+    vals, cols, parity = [], [], []
+    for j in range(half):
+        lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
+        if j == 0:
+            x = np.full(half, np.sqrt(1.0 / n))
+        else:
+            k = np.arange(1, half + 1)
+            x = np.sqrt(2.0 / n) * np.cos(j * (2 * k - 1) * np.pi / n)
+        vals += [beta * (lam - 1.0), beta * (lam + 1.0)]
+        cols += [np.concatenate([x, x]), np.concatenate([x, -x])]
+        parity += ["symmetric", "antisymmetric"]
+    order = np.argsort(np.array(vals), kind="stable")
+    vals = np.array(vals)[order]
+    vecs = np.column_stack(cols)[:, order]
+    for i in range(n):
+        if vecs[np.argmax(np.abs(vecs[:, i])), i] < 0:
+            vecs[:, i] = -vecs[:, i]
+    top = np.max(np.abs(vals))
+    zero = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= 1e-9 * top))
+    groups = [[0]]
+    for i in range(1, n):
+        if abs(vals[i] - vals[groups[-1][-1]]) <= 1e-9 * max(top, 1.0):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return vals, vecs, tuple(parity[i] for i in order), zero, tuple(map(tuple, groups))
+
+
+@pytest.mark.parametrize("beta", [1, 2.5])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 130, 512])
+def test_closed_form_is_bitwise_the_per_mode_construction(n, beta):
+    vals, vecs, parity, zero, groups = _reference_closed_form(n, beta)
+    s = ladder_spectrum_closed_form(n, beta=beta)
+    assert_array_equal(s.eigenvalues, vals)
+    assert_array_equal(s.eigenvectors, vecs)
+    assert s.parity == parity
+    assert s.zero_modes == zero
+    assert s.degeneracy_groups == groups
