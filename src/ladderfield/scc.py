@@ -92,7 +92,11 @@ def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarr
         raise ValueError("cell values must be finite")
     if _exact_route(alpha, e, d):
         return _frozen(int(alpha) * (d @ e))
-    return _frozen(float(alpha) * (d @ e.astype(float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = float(alpha) * (d @ e.astype(float))
+    if not np.all(np.isfinite(J)):
+        raise ValueError(f"source alpha * d @ e is not finite for alpha={alpha!r}")
+    return _frozen(J)
 
 
 def build_system(
@@ -157,7 +161,8 @@ def verify_scc(system: SccSystem, vertex_values, tol: float = 1e-12) -> SccRepor
 
     lhs = system.alpha * (system.K @ v)
     rhs = system.beta * J
-    diff = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
+    # subtract in float so an exact-route difference cannot wrap in int64
+    diff = np.max(np.abs(np.subtract(lhs, rhs, dtype=float))) if lhs.size else 0.0
 
     max_residual = float(diff)
     if exact:

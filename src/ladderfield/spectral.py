@@ -161,18 +161,16 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
     """Permutation matrix exchanging the two rails."""
-    half = n_vertices // 2
+    half = check_n(n_vertices) // 2
     eye = np.eye(half)
     zero = np.zeros((half, half))
     return _frozen(np.block([[zero, eye], [eye, zero]]))
 
 
 def lorentzian_operator(K: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """K_M = K - 2 beta [[I, -I], [-I, I]] for an even-sized operator."""
+    """K_M = K - 2 beta [[I, -I], [-I, I]] for a ladder-sized operator (even, >= 4)."""
     K = np.asarray(K)
     n = K.shape[0]
-    if n % 2:
-        raise ValueError("operator size must be even")
     swap = parity_swap_matrix(n)
     if np.issubdtype(K.dtype, np.integer) and float(beta).is_integer():
         block = np.eye(n, dtype=K.dtype) - swap.astype(K.dtype)
@@ -184,16 +182,17 @@ def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
     """Eigensystem of an arbitrary symmetric matrix, with the same bookkeeping.
 
     Uses a dense symmetric eigensolver, then post-processes: when the
-    matrix commutes with the rail swap, each degenerate subspace is
-    rotated into definite-parity vectors so the tags match the closed
-    form.  Raises on non-symmetric input.
+    size is a ladder size (even, >= 4) and the matrix commutes with the
+    rail swap, each degenerate subspace is rotated into definite-parity
+    vectors so the tags match the closed form.  Raises on non-symmetric
+    input.
     """
     K = np.asarray(K, dtype=float)
     vals, vecs = _symmetric_eigh(K)
     n = K.shape[0]
 
     parity: list[str | None] = [None] * n
-    if n % 2 == 0:
+    if n >= 4 and n % 2 == 0:
         swap = parity_swap_matrix(n)
         if np.allclose(swap @ K @ swap, K, rtol=0.0, atol=1e-12 * max(np.max(np.abs(K)), 1.0)):
             groups = _degeneracy_groups(vals, DEGENERACY_RTOL)

@@ -92,6 +92,9 @@ class TwinSlitConfig:
     hbar: float = 1.0
     lambda_hat: float | None = None
 
+    def __post_init__(self):
+        check_n(self.n_vertices)
+
     @classmethod
     def calibrated(
         cls,

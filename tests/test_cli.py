@@ -341,6 +341,13 @@ def test_twinslit_rejects_bad_vertex_count(n):
     assert err == f"error: vertex count must be an even integer >= 4, got {n}\n"
 
 
+def test_partition_refuses_a_non_positive_budget():
+    rc, out, err = run("partition", "--source", "preset:twin6", "--oracle", "quadrature",
+                       "--budget", "-5")
+    assert (rc, out) == (1, "")
+    assert err == "error: quadrature budget must be a positive node count, got -5\n"
+
+
 def test_scc_refuses_vertex_values_that_would_wrap(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text(f"{2**62}\n0\n0\n0\n")

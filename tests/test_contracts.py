@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ladderfield
 from ladderfield.chain_complex import build_chain_complex, build_ladder_graph, check_n
+from ladderfield.errors import SccViolation
 from ladderfield.scc import (
     SccSystem,
     build_operator,
@@ -18,10 +19,12 @@ from ladderfield.scc import (
     gradient_link_values,
     verify_scc,
 )
-from ladderfield.spectral import ladder_spectrum_closed_form
+from ladderfield.spectral import ladder_spectrum_closed_form, parity_swap_matrix
 from ladderfield.twinslit import (
     SlitGeometry,
+    TwinSlitConfig,
     geometry_to_links,
+    interference_phase_difference,
     phase_decomposition,
     split_links,
     trig_lemmas,
@@ -37,6 +40,11 @@ N_ENTRY_POINTS = {
     "split_links": lambda n: split_links(np.zeros(7), n),
     "uniform_link_values": lambda n: uniform_link_values(n, 1.0, 1.0),
     "geometry_to_links": lambda n: geometry_to_links(SlitGeometry(10.0, 1000.0, 0.0, 2.0), n),
+    "parity_swap_matrix": parity_swap_matrix,
+    "TwinSlitConfig": lambda n: TwinSlitConfig(n, 1.0, 0.5, 1.0, 1.0, 1.0),
+    "interference_phase_difference": lambda n: interference_phase_difference(
+        TwinSlitConfig.calibrated(n, 1.0, 0.5, 1.0, 2.0)
+    ),
 }
 
 
@@ -77,6 +85,26 @@ def test_builders_refuse_products_past_int64():
         build_operator(c, 1, 2**62)
     with pytest.raises(ValueError, match="overflow int64"):
         build_source(c, 1, np.zeros(4, dtype=np.int64), 2**70)
+
+
+def test_verify_scc_reports_the_unwrapped_residual():
+    # both sides are in int64 range, but their difference is not
+    c = build_chain_complex(4)
+    v = np.array([2**60, 0, 0, 0])
+    system = SccSystem(n=1, alpha=1, beta=1, hbar=1.0, K=build_operator(c, 1, 1),
+                       J=np.array([-(2**63 - 1), 0, 0, 0]), boundary=c.d1)
+    with pytest.raises(SccViolation) as excinfo:
+        verify_scc(system, v)
+    assert excinfo.value.max_residual == pytest.approx(2**61 + 2**63 - 1, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "e, alpha",
+    [([1e300, 0, 0, 0], 1e10), ([1e308, 1e308, 1e308, 1e308], 1.0), ([1.0, 0, 0, 0], float("nan"))],
+)
+def test_build_source_refuses_a_non_finite_source(e, alpha):
+    with pytest.raises(ValueError, match="^source alpha \\* d @ e is not finite"):
+        build_source(build_chain_complex(4), 1, np.array(e), alpha)
 
 
 def test_products_just_inside_int64_stay_exact():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from ladderfield.chain_complex import build_chain_complex
 from ladderfield.errors import RowSpaceError
 from ladderfield.partition import (
+    _quadrature_exponent,
     brute_force_Z,
     classical_solution,
     euclidean_Z,
@@ -183,6 +184,49 @@ def test_quadrature_reports_underresolution_for_tiny_budgets():
     s = ladder_spectrum_closed_form(4)
     res = brute_force_Z(system, s, method="quadrature", budget=8)
     assert res.underresolved
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_quadrature_refuses_a_budget_below_one(budget):
+    system, _ = make_system(4, 0)
+    s = ladder_spectrum_closed_form(4)
+    with pytest.raises(ValueError, match=f"^quadrature budget must be a positive node count, got {budget}$"):
+        brute_force_Z(system, s, method="quadrature", budget=budget)
+
+
+def _full_grid_exponent(jt, a, nodes):
+    """The same Gauss--Hermite rule summed term by term over all nodes**d grid points."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    c = jt * np.sqrt(2.0 / a)
+    d = c.size
+    log_terms = np.zeros((nodes,) * d)
+    for j in range(d):
+        shape = [1] * d
+        shape[j] = nodes
+        log_terms = log_terms + (np.log(w) + c[j] * x).reshape(shape)
+    m = log_terms.max()
+    return m + np.log(np.sum(np.exp(log_terms - m))) - 0.5 * d * np.log(np.pi)
+
+
+@pytest.mark.parametrize(
+    "jt, a, nodes",
+    [
+        ([0.7], [1.3], 4),
+        ([0.7], [1.3], 31),
+        ([0.4, -1.1], [0.5, 2.0], 9),
+        ([0.4, -1.1], [0.5, 2.0], 24),
+        ([0.3, 0.0, -0.8], [1.0, 3.0, 0.7], 16),
+        ([1.5, -0.2, 0.9, -0.6], [0.6, 1.0, 2.0, 4.0], 12),
+        ([0.1, 0.2, 0.3, 0.4], [1.0, 1.0, 1.0, 1.0], 5),
+        # strong source: grid log-terms span hundreds, so the plain sum
+        # depends on its own max shift
+        ([40.0, -25.0, 30.0], [0.5, 0.8, 1.5], 20),
+    ],
+)
+def test_factorized_quadrature_is_the_full_tensor_grid_sum(jt, a, nodes):
+    jt, a = np.array(jt), np.array(a)
+    got = _quadrature_exponent(jt, a, nodes)
+    assert_allclose(got, _full_grid_exponent(jt, a, nodes), rtol=1e-12, atol=0)
 
 
 def test_quadrature_refuses_high_dimension():

@@ -115,6 +115,12 @@ def test_numeric_spectrum_plain_diagonal():
     assert s.zero_modes == ()
 
 
+def test_numeric_spectrum_tags_parity_only_at_ladder_sizes():
+    s = numeric_spectrum(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    assert_allclose(s.eigenvalues, [1.0, 3.0])
+    assert s.parity == (None, None)
+
+
 def test_numeric_spectrum_detects_zero_modes():
     s = numeric_spectrum(np.diag([0.0, 4.0, 0.0, 1.0]))
     assert s.zero_modes == (0, 1)
