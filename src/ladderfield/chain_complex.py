@@ -18,16 +18,17 @@ A plaquette's boundary walks rung i, then right rail i, then rung i+1
 reversed, then left rail i reversed, so the two rails enter with
 opposite signs and the boundary-of-boundary composition cancels exactly.
 
-The boundary operators are returned as integer matrices: vertices x
-links for degree 1, links x plaquettes for degree 2.  All arrays handed
-out by this module are marked read-only.
+Numbering and walks are written once, as index arrays; one signed-incidence
+filler turns them into the integer boundary matrices, vertices x links for
+degree 1 and links x plaquettes for degree 2.  Arrays handed out are read-only.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,32 @@ def check_n(n_vertices) -> int:
     if n != int(n) or n < 4 or n % 2:
         raise ValueError(f"vertex count must be an even integer >= 4, got {n_vertices!r}")
     return int(n)
+
+
+def check_coupling(beta):
+    """The coupling unchanged; ValueError unless it is a finite number."""
+    if not isinstance(beta, Integral) and not math.isfinite(beta):
+        raise ValueError(f"coupling beta must be finite, got {beta!r}")
+    return beta
+
+
+def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> bool:
+    """Whether ``scalar * (matrix @ x)`` (or ``scalar * x``) runs in exact int64.
+
+    It does for an Integral scalar and integer arrays; ValueError when
+    |scalar| * max row-L1 of matrix * max|x| reaches 2**63, where int64 could wrap.
+    """
+    arrays = (x,) if matrix is None else (x, matrix)
+    if not isinstance(scalar, Integral) or not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
+        return False
+    row_l1 = 1 if matrix is None else int(np.abs(matrix).sum(axis=1, dtype=np.uint64).max(initial=0))
+    max_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    if abs(int(scalar)) * max(row_l1 * max_x, 1) >= 2**63:
+        raise ValueError(
+            f"integer arithmetic would overflow int64: |{scalar}| * {row_l1} * {max_x} >= 2**63 "
+            "(scalar * largest row sum * largest entry)"
+        )
+    return True
 
 
 @dataclass(frozen=True)
@@ -90,6 +117,25 @@ class LadderGraph:
         return tuple(l for l in self.links if l.kind == SPATIAL)
 
 
+def _rail_major(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Links as 1-based (tail, head) rows and faces as rows of signed 1-based link indices."""
+    half = n // 2
+    rail = np.arange(1, half)
+    tails = np.concatenate((rail, half + rail, np.arange(1, half + 1)))
+    heads = tails + np.repeat((1, half), (n - 2, half))  # a rail link steps along, a rung across
+    # Face i is bounded by rung i, right-rail link i, rung i+1, left-rail
+    # link i; the walk orientation puts minus signs on the last two.
+    walks = np.stack((n - 2 + rail, half - 1 + rail, -(n - 1 + rail), -rail), axis=1)
+    return np.stack((tails, heads), axis=1), walks
+
+
+def _signed_incidence(n_rows: int, cells: np.ndarray) -> np.ndarray:
+    """Read-only int64 matrix; column j has sign(s) in row |s| for each s in cells[j] (1-based)."""
+    m = np.zeros((n_rows, cells.shape[0]), dtype=np.int64)
+    m[np.abs(cells) - 1, np.arange(cells.shape[0])[:, None]] = np.sign(cells)
+    return _frozen(m)
+
+
 def build_ladder_graph(n_vertices: int) -> LadderGraph:
     """Construct the ladder graph on ``n_vertices`` vertices.
 
@@ -97,45 +143,20 @@ def build_ladder_graph(n_vertices: int) -> LadderGraph:
     The result has 3N/2 - 2 links and N/2 - 1 plaquettes.
     """
     n = check_n(n_vertices)
-    half = n // 2
-
-    links: list[Link] = []
-    for i in range(1, half):
-        links.append(Link(i, i + 1, TEMPORAL))
-    for i in range(1, half):
-        links.append(Link(half + i, half + i + 1, TEMPORAL))
-    for i in range(1, half + 1):
-        links.append(Link(i, half + i, SPATIAL))
-
-    # Face i is bounded by rung i, right-rail link i, rung i+1, left-rail
-    # link i; the walk orientation puts minus signs on the last two.
-    plaquettes = []
-    for i in range(1, half):
-        rung_i = n - 2 + i
-        rung_next = n - 2 + i + 1
-        left_rail = i
-        right_rail = half - 1 + i
-        plaquettes.append((rung_i, right_rail, -rung_next, -left_rail))
-
-    return LadderGraph(n, tuple(links), tuple(plaquettes))
+    ends, walks = _rail_major(n)
+    kinds = [TEMPORAL] * (n - 2) + [SPATIAL] * (n // 2)
+    links = tuple(map(Link, *ends.T.tolist(), kinds))
+    return LadderGraph(n, links, tuple(map(tuple, walks.tolist())))
 
 
 def boundary_1(graph: LadderGraph) -> np.ndarray:
     """Vertex-by-link incidence matrix: column = +1 at head, -1 at tail."""
-    d1 = np.zeros((graph.n_vertices, graph.n_links), dtype=np.int64)
-    for c, link in enumerate(graph.links):
-        d1[link.tail - 1, c] = -1
-        d1[link.head - 1, c] = 1
-    return _frozen(d1)
+    return _signed_incidence(graph.n_vertices, _rail_major(graph.n_vertices)[0] * (-1, 1))
 
 
 def boundary_2(graph: LadderGraph) -> np.ndarray:
     """Link-by-plaquette matrix of signed boundary walks."""
-    d2 = np.zeros((graph.n_links, graph.n_plaquettes), dtype=np.int64)
-    for c, walk in enumerate(graph.plaquettes):
-        for signed in walk:
-            d2[abs(signed) - 1, c] = 1 if signed > 0 else -1
-    return _frozen(d2)
+    return _signed_incidence(graph.n_links, _rail_major(graph.n_vertices)[1])
 
 
 @dataclass(frozen=True)
@@ -289,9 +310,5 @@ INTERLEAVED_FROM_RAIL_MAJOR = (1, 3, 5, 6, 4, 2, 7)
 def six_vertex_interleaved_complex() -> ChainComplex:
     """The N=6 boundary pair with links renumbered per the interleaved order."""
     c = build_chain_complex(6)
-    perm = np.asarray(INTERLEAVED_FROM_RAIL_MAJOR) - 1
-    d1 = np.empty_like(c.d1)
-    d2 = np.empty_like(c.d2)
-    d1[:, perm] = c.d1
-    d2[perm, :] = c.d2
-    return ChainComplex(_frozen(d1), _frozen(d2))
+    order = np.argsort(INTERLEAVED_FROM_RAIL_MAJOR)  # rail-major index of each interleaved link
+    return ChainComplex(_frozen(c.d1[:, order]), _frozen(c.d2[order]))

@@ -1,10 +1,10 @@
 """Self-consistent operator/source pairs on a chain complex.
 
-Given a boundary operator d of degree n, the quadratic-form kernel is
-K = beta * d @ d.T and a source built from cell values e is
+Given a boundary operator d of degree n, the quadratic-form kernel
+K = beta * d @ d.T is summed over the nonzeros of d (each column adds
+their outer product), and a source built from cell values e is
 J = alpha * d @ e.  When e is itself the gradient of vertex values v
-(degree 1: e_link = v_head - v_tail), the pair satisfies the exact
-identity
+(degree 1: e_link = v_head - v_tail), the pair satisfies the exact identity
 
     alpha * K @ v == beta * J
 
@@ -16,32 +16,12 @@ any J produced this way sums to zero (a divergence-free source).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .chain_complex import ChainComplex, _frozen
+from .chain_complex import ChainComplex, _exact_route, _frozen, check_coupling
 from .errors import SccViolation
 from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
-
-
-def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> bool:
-    """Whether ``scalar * (matrix @ x)`` (or ``scalar * x``) runs in exact int64.
-
-    It does for an Integral scalar and integer arrays; ValueError when
-    |scalar| * max row-L1 of matrix * max|x| reaches 2**63, where int64 could wrap.
-    """
-    arrays = (x,) if matrix is None else (x, matrix)
-    if not isinstance(scalar, Integral) or not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
-        return False
-    row_l1 = 1 if matrix is None else int(np.abs(matrix).sum(axis=1, dtype=np.uint64).max(initial=0))
-    max_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))
-    if abs(int(scalar)) * max(row_l1 * max_x, 1) >= 2**63:
-        raise ValueError(
-            f"integer arithmetic would overflow int64: |{scalar}| * {row_l1} * {max_x} >= 2**63 "
-            "(scalar * largest row sum * largest entry)"
-        )
-    return True
 
 
 def _select_boundary(c: ChainComplex, n: int) -> np.ndarray:
@@ -74,10 +54,18 @@ class SccSystem:
 
 
 def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
-    """K = beta * d_n @ d_n.T.  Integer beta keeps the result exact."""
+    """K = beta * d_n @ d_n.T, summed over d_n's nonzeros.  Integer beta keeps the result exact."""
     d = _select_boundary(c, n)
-    scalar = int(beta) if _exact_route(beta, d.T, d) else float(beta)
-    return _frozen(scalar * (d @ d.T))
+    scalar = int(beta) if _exact_route(check_coupling(beta), d.T, d) else float(beta)
+    cols, rows = np.nonzero(d.T)  # column-major, so each column's nonzeros are adjacent
+    vals = d[rows, cols]
+    size = np.bincount(cols)[cols]  # nonzeros in the column of each nonzero
+    # pair each nonzero with the `size` nonzeros of its column, from the column's first on
+    first = np.repeat(np.arange(cols.size), size)
+    second = np.arange(first.size) + np.repeat(np.searchsorted(cols, cols) + size - np.cumsum(size), size)
+    K = np.zeros((d.shape[0], d.shape[0]), dtype=d.dtype)
+    np.add.at(K, (rows[first], rows[second]), vals[first] * vals[second])
+    return _frozen(scalar * K)
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
@@ -169,7 +157,7 @@ def verify_scc(system: SccSystem, vertex_values, tol: float = 1e-12) -> SccRepor
         violated = bool(np.any(lhs != rhs))
     else:
         scale = max(float(np.max(np.abs(lhs), initial=0.0)), float(np.max(np.abs(rhs), initial=0.0)), 1.0)
-        violated = max_residual > tol * scale
+        violated = not max_residual <= tol * scale  # a NaN residual fails too
 
     if violated:
         raise SccViolation(

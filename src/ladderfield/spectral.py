@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_complex import _frozen, check_n
+from .chain_complex import _exact_route, _frozen, check_coupling, check_n
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -141,6 +141,7 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     eigenvectors come out orthonormal by construction.
     """
     n = check_n(n_vertices)
+    beta = check_coupling(beta)
     half = n // 2
     j = np.arange(half)
     lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
@@ -161,21 +162,25 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
     """Permutation matrix exchanging the two rails."""
-    half = check_n(n_vertices) // 2
-    eye = np.eye(half)
-    zero = np.zeros((half, half))
-    return _frozen(np.block([[zero, eye], [eye, zero]]))
+    n = check_n(n_vertices)
+    return _frozen(np.roll(np.eye(n), n // 2, axis=1))
 
 
-def lorentzian_operator(K: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """K_M = K - 2 beta [[I, -I], [-I, I]] for a ladder-sized operator (even, >= 4)."""
+def lorentzian_operator(K: np.ndarray, beta: float = 1) -> np.ndarray:
+    """K_M = K - 2 beta [[I, -I], [-I, I]] for a ladder-sized operator (even, >= 4).
+
+    Integer K with an Integral beta stays exact int64, with ValueError where
+    an entry could leave the int64 range; anything else comes out float64.
+    """
     K = np.asarray(K)
     n = K.shape[0]
-    swap = parity_swap_matrix(n)
-    if np.issubdtype(K.dtype, np.integer) and float(beta).is_integer():
-        block = np.eye(n, dtype=K.dtype) - swap.astype(K.dtype)
-        return _frozen(K - 2 * int(beta) * block)
-    return _frozen(K - 2.0 * float(beta) * (np.eye(n) - swap))
+    shift = 2 * (np.eye(n, dtype=np.int64) - parity_swap_matrix(n).astype(np.int64))
+    exact = _exact_route(check_coupling(beta), shift) and np.issubdtype(K.dtype, np.integer)
+    # entries of K_M are at most max|K| + 2|beta| in magnitude
+    if exact and max(int(K.max(initial=0)), -int(K.min(initial=0))) + 2 * abs(int(beta)) >= 2**63:
+        raise ValueError(f"integer arithmetic would overflow int64: max|K| + 2 * |{beta}| >= 2**63")
+    scalar = int(beta) if exact else float(beta)
+    return _frozen(K - scalar * shift)
 
 
 def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:

@@ -9,6 +9,8 @@ from numpy.testing import assert_array_equal
 from ladderfield.chain_complex import (
     ChainComplex,
     INTERLEAVED_FROM_RAIL_MAJOR,
+    LadderGraph,
+    Link,
     boundary_1,
     boundary_2,
     build_chain_complex,
@@ -203,3 +205,46 @@ def test_rung_count_equals_plaquette_count_plus_one(n):
     d2 = boundary_2(g)
     rung_rows = np.abs(d2[n - 2 :, :]).sum(axis=1)
     assert rung_rows.max() <= 2
+
+
+# ---------------------------------------------------------------------------
+# reference: the graph and both boundaries written out link by link
+
+
+def loop_built(n):
+    """The ladder, d1 and d2 built one link and one walk entry at a time."""
+    half = n // 2
+    links = []
+    for i in range(1, half):
+        links.append(Link(i, i + 1, "temporal"))
+    for i in range(1, half):
+        links.append(Link(half + i, half + i + 1, "temporal"))
+    for i in range(1, half + 1):
+        links.append(Link(i, half + i, "spatial"))
+    plaquettes = []
+    for i in range(1, half):
+        rung_i, rung_next, left_rail, right_rail = n - 2 + i, n - 1 + i, i, half - 1 + i
+        plaquettes.append((rung_i, right_rail, -rung_next, -left_rail))
+    d1 = np.zeros((n, len(links)), dtype=np.int64)
+    for c, link in enumerate(links):
+        d1[link.tail - 1, c] = -1
+        d1[link.head - 1, c] = 1
+    d2 = np.zeros((len(links), len(plaquettes)), dtype=np.int64)
+    for c, walk in enumerate(plaquettes):
+        for signed in walk:
+            d2[abs(signed) - 1, c] = 1 if signed > 0 else -1
+    return LadderGraph(n, tuple(links), tuple(plaquettes)), d1, d2
+
+
+@pytest.mark.parametrize("n", range(4, 402, 2))
+def test_index_built_complex_matches_the_loop_built_one(n):
+    graph, d1, d2 = loop_built(n)
+    built = build_ladder_graph(n)
+    assert built == graph
+    assert all(type(k) is int for walk in built.plaquettes for k in walk)
+    assert all(type(link.tail) is int and type(link.head) is int for link in built.links)
+    c = build_chain_complex(n)
+    for got, expected in ((c.d1, d1), (c.d2, d2), (boundary_1(built), d1), (boundary_2(built), d2)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert_array_equal(got, expected)
+    assert serialize_graph(built) == serialize_graph(graph)

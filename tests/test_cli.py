@@ -375,3 +375,17 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ladderfield 0.1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("scc", "--n", "6", "--beta", "inf"), "inf"),
+        (("spectrum", "--n", "6", "--beta", "nan"), "nan"),
+        (("spectrum", "--n", "6", "--beta=-inf", "--lorentzian"), "-inf"),
+        (("partition", "--source", "preset:twin6", "--beta", "inf"), "inf"),
+    ],
+)
+def test_non_finite_coupling_is_an_error(argv, shown):
+    rc, out, err = run(*argv)
+    assert (rc, out, err) == (1, "", f"error: coupling beta must be finite, got {shown}\n")

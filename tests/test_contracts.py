@@ -19,7 +19,11 @@ from ladderfield.scc import (
     gradient_link_values,
     verify_scc,
 )
-from ladderfield.spectral import ladder_spectrum_closed_form, parity_swap_matrix
+from ladderfield.spectral import (
+    ladder_spectrum_closed_form,
+    lorentzian_operator,
+    parity_swap_matrix,
+)
 from ladderfield.twinslit import (
     SlitGeometry,
     TwinSlitConfig,
@@ -133,6 +137,26 @@ def test_integer_source_is_exact_or_refused(e, alpha):
         assert bound >= 2**63
     else:
         assert J.dtype == np.int64 and [int(x) for x in J] == exact
+
+
+# ---------------------------------------------------------------------------
+# couplings are finite numbers
+
+COUPLING_ENTRY_POINTS = {
+    "build_operator": lambda beta: build_operator(build_chain_complex(4), 1, beta),
+    "build_system": lambda beta: build_system(build_chain_complex(4), 1, np.zeros(4), beta=beta),
+    "ladder_spectrum_closed_form": lambda beta: ladder_spectrum_closed_form(6, beta=beta),
+    "lorentzian_operator": lambda beta: lorentzian_operator(np.zeros((6, 6), dtype=np.int64), beta),
+}
+
+
+@pytest.mark.parametrize("beta", [float("inf"), -float("inf"), float("nan"), np.float64("inf")])
+@pytest.mark.parametrize("entry", sorted(COUPLING_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_non_finite_coupling(entry, beta):
+    # RuntimeWarning is an error in this suite, so a numpy warning on the way fails too
+    message = f"coupling beta must be finite, got {beta!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        COUPLING_ENTRY_POINTS[entry](beta)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ are built by different code paths, so the tests below lean on integer inputs
 to demand bit-exact agreement where the contract promises it.
 """
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ladderfield.chain_complex import (
+    ChainComplex,
     build_chain_complex,
     six_vertex_interleaved_complex,
 )
@@ -265,3 +269,71 @@ def test_coupled_oscillator_form():
     dt = 1j
     M = (1 / dt) * A + dt * (I - S)
     assert_allclose(M, -1j * (A - I + S), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# K against the dense Gram d @ d.T, which lives here only, as the oracle
+
+
+def assert_operator_is_dense_gram(c, degree, d):
+    gram = d @ d.T
+    for beta in (1, 3, -2, 1.7, -0.3):
+        K = build_operator(c, degree, beta)
+        expected = beta * gram
+        assert K.dtype == expected.dtype and not K.flags.writeable
+        # bitwise, so signed zeros and the float rounding must agree too
+        assert K.shape == expected.shape and K.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(4, 402, 2))
+def test_operator_is_the_dense_gram_at_every_size(n):
+    c = build_chain_complex(n)
+    assert_operator_is_dense_gram(c, 1, c.d1)
+    assert_operator_is_dense_gram(c, 2, c.d2)
+
+
+def test_operator_is_the_dense_gram_on_the_interleaved_fixture():
+    c = six_vertex_interleaved_complex()
+    assert_operator_is_dense_gram(c, 1, c.d1)
+    assert_operator_is_dense_gram(c, 2, c.d2)
+
+
+@st.composite
+def sparse_int64_matrices(draw):
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(0, 11)))
+    entries = st.one_of(st.just(0), st.just(0), st.integers(-(2**20), 2**20))
+    return draw(arrays(np.int64, shape, elements=entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=sparse_int64_matrices(), beta=st.one_of(st.integers(-6, 6), st.floats(-4, 4)))
+@example(d=np.array([[0, 3, 0, -1, 0]]), beta=2)  # one row, zero columns
+@example(d=np.array([[0, 1, 0], [0, -1, 2], [0, 0, 5], [0, 0, -1]]), beta=-0.5)  # uneven columns
+@example(d=np.zeros((3, 0), dtype=np.int64), beta=1)
+def test_operator_is_the_dense_gram_of_any_sparse_integer_boundary(d, beta):
+    c = ChainComplex(d, np.zeros((d.shape[1], 0), dtype=np.int64))
+    K = build_operator(c, 1, beta)
+    expected = beta * (d @ d.T)
+    assert K.dtype == expected.dtype and not K.flags.writeable
+    assert K.shape == expected.shape and K.tobytes() == expected.tobytes()
+    K2 = build_operator(ChainComplex(np.zeros((0, d.shape[0]), dtype=np.int64), d), 2, beta)
+    assert K2.tobytes() == K.tobytes()
+
+
+def test_build_system_stays_far_from_a_dense_gram():
+    """build_system at N=2000 within two seconds: a dense int64 d1 @ d1.T
+    alone takes about twenty at this size on a 2-vCPU machine."""
+    c = build_chain_complex(2000)
+    e = gradient_link_values(c, np.arange(2000) % 7)
+    start = time.perf_counter()
+    system = build_system(c, 1, e)
+    assert time.perf_counter() - start < 2.0
+    assert system.K.trace() == 3 * 2000 - 4
+
+
+def test_verify_scc_refuses_a_nan_residual():
+    c = build_chain_complex(4)
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    system = build_system(c, 1, gradient_link_values(c, v), alpha=1.0, beta=1.0)
+    with pytest.raises(SccViolation):
+        verify_scc(system, np.array([np.nan, 2.0, 3.0, 4.0]))

@@ -285,3 +285,38 @@ def test_closed_form_is_bitwise_the_per_mode_construction(n, beta):
     assert s.parity == parity
     assert s.zero_modes == zero
     assert s.degeneracy_groups == groups
+
+
+# ---------------------------------------------------------------------------
+# the Lorentzian operator follows the one int64 rule
+
+
+def test_lorentzian_operator_refuses_a_wrapping_shift():
+    # K_M[1, 1] = -3 * 2**61 - 2**62 lies below -2**63; in int64 it would wrap to +6.92e18
+    K = -build_operator(build_chain_complex(6), 1, 2**61)
+    with pytest.raises(ValueError, match="overflow int64"):
+        lorentzian_operator(K, 2**61)
+
+
+def test_lorentzian_operator_is_exact_just_inside_int64():
+    K = build_operator(build_chain_complex(6), 1, 2**60)
+    KM = lorentzian_operator(K, 2**60)
+    assert KM.dtype == np.int64 and not KM.flags.writeable
+    swap = parity_swap_matrix(6).astype(int)
+    expected = [
+        [int(K[i, j]) - 2 * 2**60 * (int(i == j) - int(swap[i, j])) for j in range(6)]
+        for i in range(6)
+    ]
+    assert KM.tolist() == expected
+
+
+def test_lorentzian_operator_dtype_follows_the_coupling_type():
+    K = build_operator(build_chain_complex(6), 1, 1)
+    assert lorentzian_operator(K).dtype == np.int64
+    assert lorentzian_operator(K, 2).dtype == np.int64
+    assert lorentzian_operator(K, np.int32(2)).dtype == np.int64
+    # an Integral beta is the one integer rule: a float beta gives float64
+    KM = lorentzian_operator(K, 1.0)
+    assert KM.dtype == np.float64
+    assert_array_equal(KM, lorentzian_operator(K))
+    assert lorentzian_operator(K.astype(float), 1).dtype == np.float64
