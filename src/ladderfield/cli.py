@@ -135,12 +135,12 @@ def _resolve_vertices(args) -> np.ndarray:
     return _read_values(spec) if preset is None else preset
 
 
-def _matrix_block(label: str, M: np.ndarray, indent: str = "    ") -> list[str]:
-    width = max(len(_fmt(v)) for v in M.ravel())
-    lines = [label]
-    for row in M:
-        lines.append(indent + " ".join(_fmt(v).rjust(width) for v in row))
-    return lines
+def _matrix_block(label: str, M: np.ndarray) -> list[str]:
+    # each entry is formatted once; a row is kept as one string, since N^2
+    # separate cell strings would raise the peak memory of large matrices
+    rows = [" ".join(_fmt(v) for v in row) for row in M]
+    width = max(len(cell) for row in rows for cell in row.split(" "))
+    return [label] + ["      " + " ".join(cell.rjust(width) for cell in row.split(" ")) for row in rows]
 
 
 def _cmd_scc(args) -> str:
@@ -166,7 +166,7 @@ def _cmd_scc(args) -> str:
         f"  link values             {vec(e)}",
         f"  source J                {vec(system.J)}",
     ]
-    lines += _matrix_block("  operator K", system.K, indent="      ")
+    lines += _matrix_block("  operator K", system.K)
     lines += [
         f"  identity max residual   {_fmt(report.max_identity_residual)}",
         f"  source sum              {_fmt(report.source_sum)}",
@@ -240,6 +240,8 @@ def _cmd_twinslit(args) -> str:
             args.n, e_x, e_x_alt, e_T=1.0, lambda_hat=args.lam
         )
         dphi = interference_phase_difference(config)
+        if not math.isfinite(dphi):
+            raise ValueError(f"phase difference at y={_fmt(float(y))} is not finite")
         nearest = int(round(dphi / (2.0 * math.pi)))
         is_max = abs(dphi - 2.0 * math.pi * nearest) <= MAXIMUM_PHASE_TOL
         intensity = nrqm_intensity(path_difference(geometry), args.lam)
@@ -360,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_default=0):
+    def common(p):
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=seed_default, help="seed recorded in the header")
+        p.add_argument("--seed", type=int, default=0, help="seed recorded in the header")
 
     p = sub.add_parser("graph", help="emit the ladder graph serialization")
     p.add_argument("--n", type=int, required=True, help="vertex count (even, >= 4)")

@@ -35,6 +35,9 @@ import numpy as np
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
 
+#: Relative singular-value threshold below which null_space_dimension counts a direction.
+NULL_SV_RTOL = 1e-9
+
 
 def minkowski_square(k) -> float:
     """k^2 = k.eta.k for an upper-index four-vector."""
@@ -154,9 +157,9 @@ def null_residual(kernel, direction) -> float:
     return float(np.linalg.norm(kernel @ direction)) / (norm_ker * norm_dir)
 
 
-def null_space_dimension(kernel, tol: float = 1e-9) -> int:
-    """Count singular values at most tol times the largest."""
+def null_space_dimension(kernel) -> int:
+    """Count singular values at most NULL_SV_RTOL times the largest."""
     sv = np.linalg.svd(np.asarray(kernel, dtype=float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return int(sv.size)
-    return int(np.sum(sv <= tol * sv[0]))
+    return int(np.sum(sv <= NULL_SV_RTOL * sv[0]))

@@ -177,7 +177,7 @@ def _quadrature_exponent(jt: np.ndarray, a: np.ndarray, nodes: int) -> float:
     c = jt * np.sqrt(2.0 / a)
     # each axis: log sum_k = log mean_k + log(nodes)
     per_axis = math.log(nodes) - 0.5 * math.log(math.pi)
-    return sum(_log_mean_exp(logw + cj * x) + per_axis for cj in c)
+    return sum((_log_mean_exp(logw + cj * x) + per_axis for cj in c), 0.0)
 
 
 def brute_force_Z(
@@ -186,7 +186,6 @@ def brute_force_Z(
     method: str = "quadrature",
     budget: int = 200_000,
     seed: int = 0,
-    row_space_tol: float = ROW_SPACE_RTOL,
 ) -> PartitionResult:
     """Evaluate the restricted integral directly, as an oracle.
 
@@ -206,7 +205,7 @@ def brute_force_Z(
     so large sources starve the estimator; the result flags itself
     underresolved when the effective sample size collapses.
     """
-    jt, a = _retained(system, spectrum, row_space_tol)
+    jt, a = _retained(system, spectrum, ROW_SPACE_RTOL)
     d = int(a.size)
     log_volume = float(0.5 * np.sum(np.log(2.0 * np.pi / a)))
 
@@ -217,8 +216,8 @@ def brute_force_Z(
             raise ValueError(
                 f"quadrature oracle limited to 6 retained dimensions, got {d}"
             )
-        nodes = max(4, int(round(budget ** (1.0 / d))))
-        nodes = min(nodes, 100)
+        # with no retained axis (d = 0) the node count is moot and the exponent is 0
+        nodes = min(max(4, int(round(budget ** (1.0 / max(d, 1))))), 100)
         exponent = _quadrature_exponent(jt, a, nodes)
         coarse = _quadrature_exponent(jt, a, max(4, nodes // 2))
         err = abs(exponent - coarse)

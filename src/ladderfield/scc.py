@@ -23,6 +23,9 @@ from .chain_complex import ChainComplex, _exact_route, _frozen, check_coupling
 from .errors import SccViolation
 from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
 
+#: Relative residual allowed in the float-route check of alpha * K @ v == beta * J.
+SCC_RTOL = 1e-12
+
 
 def _select_boundary(c: ChainComplex, n: int) -> np.ndarray:
     if n == 1:
@@ -130,11 +133,11 @@ class SccReport:
     exact: bool
 
 
-def verify_scc(system: SccSystem, vertex_values, tol: float = 1e-12) -> SccReport:
+def verify_scc(system: SccSystem, vertex_values) -> SccReport:
     """Check alpha * K @ v == beta * J plus the two structural side conditions.
 
     Integer inputs are compared exactly; otherwise the identity residual
-    is measured against ``tol`` times the scale of the compared vectors.
+    is measured against ``SCC_RTOL`` times the scale of the compared vectors.
     Raises SccViolation if the source was not built from the gradient of
     ``vertex_values``.
     """
@@ -157,7 +160,7 @@ def verify_scc(system: SccSystem, vertex_values, tol: float = 1e-12) -> SccRepor
         violated = bool(np.any(lhs != rhs))
     else:
         scale = max(float(np.max(np.abs(lhs), initial=0.0)), float(np.max(np.abs(rhs), initial=0.0)), 1.0)
-        violated = not max_residual <= tol * scale  # a NaN residual fails too
+        violated = not max_residual <= SCC_RTOL * scale  # a NaN residual fails too
 
     if violated:
         raise SccViolation(
@@ -175,14 +178,14 @@ def verify_scc(system: SccSystem, vertex_values, tol: float = 1e-12) -> SccRepor
     )
 
 
-def null_space_basis(K, tol: float = 1e-9) -> list[np.ndarray]:
+def null_space_basis(K) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of a symmetric matrix.
 
-    A direction x counts as null when its eigenvalue magnitude is at
-    most ``tol`` times the largest eigenvalue magnitude.  Vectors are
-    sign-fixed (largest-magnitude component positive) so the basis is
-    reproducible.
+    A direction counts as null when its eigenvalue magnitude is at most
+    ``ZERO_MODE_RTOL`` times the largest, the rule behind a Spectrum's
+    zero modes.  Vectors are sign-fixed (largest-magnitude component
+    positive) so the basis is reproducible.
     """
     vals, vecs = _symmetric_eigh(K)
-    basis = _sign_fix(vecs[:, list(_zero_mode_indices(vals, tol))]).T.copy()
+    basis = _sign_fix(vecs[:, list(_zero_mode_indices(vals))]).T.copy()
     return [_frozen(x) for x in basis]

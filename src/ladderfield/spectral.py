@@ -44,10 +44,11 @@ DEGENERACY_RTOL = 1e-9
 class Spectrum:
     """Eigenvalues (ascending), eigenvectors (columns), and bookkeeping.
 
-    ``parity`` tags each column 'symmetric' / 'antisymmetric' under the
-    rail swap, or None when no parity structure applies.  ``beta`` is
-    the coupling the operator was built with, so unit-coupling shape
-    eigenvalues are ``eigenvalues / beta``.
+    Each eigenvector column has its largest-magnitude entry positive
+    (the first such entry on a tie).  ``parity`` tags each column
+    'symmetric' / 'antisymmetric' under the rail swap, or None when no
+    parity structure applies.  ``beta`` is the coupling the operator was
+    built with, so unit-coupling shape eigenvalues are ``eigenvalues / beta``.
     """
 
     eigenvalues: np.ndarray
@@ -64,8 +65,7 @@ class Spectrum:
 
     @property
     def nonzero_modes(self) -> tuple[int, ...]:
-        zero = set(self.zero_modes)
-        return tuple(i for i in range(self.n_modes) if i not in zero)
+        return tuple(np.delete(np.arange(self.n_modes), list(self.zero_modes)).tolist())
 
     @property
     def is_singular(self) -> bool:
@@ -77,28 +77,23 @@ class Spectrum:
             yield self.eigenvalues[i], self.eigenvectors[:, i]
 
 
-def _zero_mode_indices(vals: np.ndarray, rtol: float) -> tuple[int, ...]:
+def _zero_mode_indices(vals: np.ndarray) -> tuple[int, ...]:
     top = np.max(np.abs(vals), initial=0.0)
-    if top == 0.0:
-        return tuple(range(vals.size))
-    return tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= rtol * top))
+    return tuple(np.flatnonzero(np.abs(vals) <= ZERO_MODE_RTOL * top).tolist())
 
 
-def _degeneracy_groups(vals: np.ndarray, rtol: float) -> tuple[tuple[int, ...], ...]:
+def _degeneracy_groups(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
     scale = max(np.max(np.abs(vals), initial=0.0), 1.0)
-    groups: list[list[int]] = []
-    for i in range(vals.size):
-        if groups and abs(vals[i] - vals[groups[-1][-1]]) <= rtol * scale:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return tuple(tuple(g) for g in groups)
+    # a gap that is not within the tolerance, a NaN gap included, ends a group
+    split = ~(np.abs(np.diff(vals)) <= DEGENERACY_RTOL * scale)
+    ends = (np.flatnonzero(split) + 1).tolist() + [vals.size]
+    return tuple(tuple(range(a, b)) for a, b in zip([0] + ends, ends) if a < b)
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
     """Flip columns in place so each one's largest-magnitude entry is positive.
 
-    Callers pass a fresh copy; copying here too costs one N x N matrix of peak memory.
+    One column at a time: a copy, or one whole-matrix argmax, raises peak memory.
     """
     for i in range(vecs.shape[1]):
         pivot = int(np.argmax(np.abs(vecs[:, i])))
@@ -118,17 +113,18 @@ def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(K)
 
 
-def _assemble(vals, vecs, parity, beta, regime, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
+def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:
+    """Sort the modes stably by eigenvalue; the vectors arrive sign-fixed."""
     order = np.argsort(vals, kind="stable")
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
     parity = tuple(parity[i] for i in order)
     return Spectrum(
         eigenvalues=_frozen(vals),
-        eigenvectors=_frozen(_sign_fix(vecs)),
+        eigenvectors=_frozen(vecs),
         parity=parity,
-        zero_modes=_zero_mode_indices(vals, zero_tol),
-        degeneracy_groups=_degeneracy_groups(vals, DEGENERACY_RTOL),
+        zero_modes=_zero_mode_indices(vals),
+        degeneracy_groups=_degeneracy_groups(vals),
         beta=float(beta),
         regime=regime,
     )
@@ -154,6 +150,8 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     x = vecs[:half, 0::2]
     np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * j + 1, j) * np.pi / n), out=x)
     x[:, 0] = np.sqrt(1.0 / n)
+    # the pivot of [x_j; +-x_j] and its sign both lie in x_j, so fixing x fixes every column
+    _sign_fix(x)
     vecs[half:, 0::2] = x
     vecs[:half, 1::2] = x
     np.negative(x, out=vecs[half:, 1::2])
@@ -183,7 +181,7 @@ def lorentzian_operator(K: np.ndarray, beta: float = 1) -> np.ndarray:
     return _frozen(K - scalar * shift)
 
 
-def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
+def numeric_spectrum(K) -> Spectrum:
     """Eigensystem of an arbitrary symmetric matrix, with the same bookkeeping.
 
     Uses a dense symmetric eigensolver, then post-processes: when the
@@ -200,9 +198,7 @@ def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
     if n >= 4 and n % 2 == 0:
         swap = parity_swap_matrix(n)
         if np.allclose(swap @ K @ swap, K, rtol=0.0, atol=1e-12 * max(np.max(np.abs(K)), 1.0)):
-            groups = _degeneracy_groups(vals, DEGENERACY_RTOL)
-            for group in groups:
-                idx = list(group)
+            for idx in _degeneracy_groups(vals):
                 V = vecs[:, idx]
                 # The swap restricted to an eigenspace is an involution;
                 # its +-1 eigenvectors are the definite-parity modes.
@@ -214,7 +210,7 @@ def numeric_spectrum(K, zero_tol: float = ZERO_MODE_RTOL) -> Spectrum:
                     elif abs(wi + 1.0) < 1e-6:
                         parity[pos] = ANTISYMMETRIC
 
-    return _assemble(vals, vecs, parity, 1.0, "euclidean", zero_tol)
+    return _assemble(vals, _sign_fix(vecs), parity, 1.0, "euclidean")
 
 
 def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
@@ -225,14 +221,12 @@ def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
     N divisible by 4 the antisymmetric mode at j = N/4 becomes a second
     null direction and the result reports itself singular.
     """
-    if any(p is None for p in spectrum.parity):
+    if None in spectrum.parity:
         raise ValueError("cannot continue a spectrum without parity tags on every mode")
     if spectrum.n_modes != n_vertices:
         raise ValueError(
             f"spectrum has {spectrum.n_modes} modes but n_vertices is {n_vertices}"
         )
-    shift = np.array(
-        [4.0 * spectrum.beta if p == ANTISYMMETRIC else 0.0 for p in spectrum.parity]
-    )
-    vals = spectrum.eigenvalues - shift
+    antisymmetric = np.array(spectrum.parity) == ANTISYMMETRIC
+    vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
     return _assemble(vals, spectrum.eigenvectors, list(spectrum.parity), spectrum.beta, "lorentzian")

@@ -54,13 +54,16 @@ from .chain_complex import build_chain_complex, check_n
 from .errors import GaugeObstruction, RowSpaceError
 from .partition import _row_space_projection
 from .scc import build_source
-from .spectral import Spectrum, continue_to_lorentzian, ladder_spectrum_closed_form
+from .spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 
 EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
 
 #: Relative threshold for "the singular mode is excited" in the Lorentzian regime.
 OBSTRUCTION_RTOL = 1e-9
+
+#: Absolute error within which TrigIdentityReport.passed accepts the identities.
+TRIG_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,13 +114,20 @@ class TwinSlitConfig:
         if lambda_hat <= 0:
             raise ValueError(f"lambda_hat must be positive, got {lambda_hat}")
         h = 2.0 * math.pi * hbar
+        try:
+            alpha, beta = h / lambda_hat, h / lambda_hat**2
+            representable = all(math.isfinite(x) and x != 0 for x in (alpha, beta, alpha**2))
+        except (ZeroDivisionError, OverflowError):  # lambda_hat**2 or alpha**2 out of range
+            representable = False
+        if not representable:
+            raise ValueError(f"lambda_hat={lambda_hat} gives a zero or non-finite alpha, beta or alpha^2")
         return cls(
             n_vertices=n_vertices,
             e_x=e_x,
             e_x_alt=e_x_alt,
             e_T=e_T,
-            alpha=h / lambda_hat,
-            beta=h / lambda_hat**2,
+            alpha=alpha,
+            beta=beta,
             hbar=hbar,
             lambda_hat=lambda_hat,
         )
@@ -164,15 +174,14 @@ def phase_decomposition(
     hbar: float,
     beta: float,
     regime: str = EUCLIDEAN,
-    obstruction_tol: float = OBSTRUCTION_RTOL,
 ) -> PhaseDecomposition:
     """Closed-form spatial / temporal / mixed phase split of one configuration.
 
     Lorentzian regime with N divisible by 4: if the j = N/4 mixed
-    numerator exceeds ``obstruction_tol`` (relative to the link scale)
+    numerator exceeds ``OBSTRUCTION_RTOL`` times N max(1, max |link|),
     the phase does not exist and GaugeObstruction is raised; a numerator
-    below tolerance is treated as the row-space restriction at work and
-    its term is dropped.
+    within that bound is treated as the row-space restriction at work
+    and its term is dropped.
     """
     if regime not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"unknown regime {regime!r}")
@@ -203,7 +212,7 @@ def phase_decomposition(
     if regime == LORENTZIAN and n % 4 == 0:
         singular = n // 4 - 1  # position of j = N/4 in the 1..N/2-1 range
         scale = max(1.0, float(np.max(np.abs(np.asarray(link_values))))) * n
-        if abs(numerators[singular]) > obstruction_tol * scale:
+        if abs(numerators[singular]) > OBSTRUCTION_RTOL * scale:
             raise GaugeObstruction(
                 f"continued operator has a zero mode at j={n // 4} and the "
                 f"configuration excites it (numerator {numerators[singular]:.6e}); "
@@ -248,8 +257,8 @@ class TrigIdentityReport:
     def max_error(self) -> float:
         return max(self.sine_sum_error, self.cot_square_error, self.composite_error)
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_error <= tol
+    def passed(self) -> bool:
+        return self.max_error <= TRIG_ATOL
 
 
 def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
@@ -286,17 +295,11 @@ def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
 # conditional amplitudes and interference
 
 
-def _uniform_spectrum(config: TwinSlitConfig) -> Spectrum:
-    base = ladder_spectrum_closed_form(config.n_vertices, beta=config.beta)
-    return continue_to_lorentzian(base, config.n_vertices)
-
-
 def conditional_amplitude(
     config: TwinSlitConfig,
     which: int,
     outcome: float,
     mode: int,
-    row_space_tol: float = OBSTRUCTION_RTOL,
 ) -> tuple[float, float]:
     """(log magnitude, phase) of the amplitude for one graph at a fixed click.
 
@@ -318,7 +321,7 @@ def conditional_amplitude(
     e_x = config.e_x if which == 1 else config.e_x_alt
     links = uniform_link_values(n, e_x, config.e_T)
 
-    spectrum = _uniform_spectrum(config)
+    spectrum = continue_to_lorentzian(ladder_spectrum_closed_form(n, beta=config.beta), n)
     if mode in spectrum.zero_modes:
         raise ValueError(f"mode {mode} is a zero mode of the continued operator")
     if not 0 <= mode < spectrum.n_modes:
@@ -326,7 +329,7 @@ def conditional_amplitude(
 
     J = build_source(build_chain_complex(n), 1, links, config.alpha)
     try:
-        proj = _row_space_projection(J, spectrum, row_space_tol)
+        proj = _row_space_projection(J, spectrum, OBSTRUCTION_RTOL)
     except RowSpaceError as exc:
         raise GaugeObstruction(
             f"source excites a null direction of the continued operator: {exc}",
@@ -414,6 +417,8 @@ def geometry_to_links(geometry: SlitGeometry, n_vertices: int) -> tuple[float, f
     """
     n = check_n(n_vertices)
     l1, l2 = path_lengths(geometry)
+    if not (math.isfinite(l1) and math.isfinite(l2)):
+        raise ValueError(f"path lengths must be finite, got {l1} and {l2}")
     lam = geometry.wavelength
     if lam <= 0:
         raise ValueError(f"wavelength must be positive, got {lam}")

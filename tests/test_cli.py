@@ -389,3 +389,32 @@ def test_python_dash_m_runs_the_cli():
 def test_non_finite_coupling_is_an_error(argv, shown):
     rc, out, err = run(*argv)
     assert (rc, out, err) == (1, "", f"error: coupling beta must be finite, got {shown}\n")
+
+
+def test_partition_oracles_at_restricted_dimension_zero(tmp_path):
+    src = tmp_path / "zeros.txt"
+    src.write_text("0\n" * 7)
+    for oracle in ("quadrature", "mc"):
+        rc, out, err = run("partition", "--source", str(src), "--beta", "0", "--oracle", oracle)
+        assert (rc, err) == (0, "")
+        assert body(out) == ["log_Z,exponent_term,restricted_dim,oracle_log_Z,abs_err", "0,0,0,0,0"]
+
+
+@pytest.mark.parametrize(
+    "d, L, lam, message",
+    [
+        ("10", "1000", "inf", "lambda_hat=inf gives"),
+        ("10", "1000", "1e-200", "lambda_hat=1e-200 gives"),
+        ("10", "1000", "1e200", "lambda_hat=1e+200 gives"),
+        ("10", "1000", "nan", "lambda_hat=nan gives"),
+        ("nan", "1000", "2", "path lengths must be finite, got nan and nan"),
+        ("10", "inf", "2", "path lengths must be finite, got inf and inf"),
+        # the couplings fit, but the phase difference overflows
+        ("10", "1000", "1e-150", "phase difference at y=-1 is not finite"),
+    ],
+)
+def test_twinslit_refuses_what_the_calibration_cannot_represent(d, L, lam, message):
+    rc, out, err = run("twinslit", "--n", "8", "--d", d, "--L", L, "--lambda", lam,
+                       "--y-range=-1:1:2")
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -1,6 +1,8 @@
 """Input contracts every layer shares: the ladder vertex count, the int64
 range of exact arithmetic, and the package's public names."""
 
+import inspect
+import math
 import re
 
 import numpy as np
@@ -159,6 +161,26 @@ def test_every_entry_point_refuses_a_non_finite_coupling(entry, beta):
         COUPLING_ENTRY_POINTS[entry](beta)
 
 
+@pytest.mark.parametrize("lambda_hat", [float("inf"), float("nan"), 1e-200, 1e-154, 1e155, 1e200])
+def test_calibration_refuses_couplings_outside_the_float_range(lambda_hat):
+    # 1e-154: alpha fits but alpha^2 overflows; 1e155: lambda_hat^2 overflows
+    message = f"lambda_hat={lambda_hat} gives a zero or non-finite alpha, beta or alpha^2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, lambda_hat)
+
+
+@pytest.mark.parametrize("lambda_hat", [1e-150, 1e150])
+def test_calibration_just_inside_the_float_range(lambda_hat):
+    cfg = TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, lambda_hat)
+    assert math.isclose(cfg.alpha**2 / (cfg.hbar * cfg.beta), 2 * math.pi, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("d, L", [(math.nan, 1000.0), (10.0, math.inf), (10.0, math.nan)])
+def test_geometry_to_links_refuses_non_finite_path_lengths(d, L):
+    with pytest.raises(ValueError, match="^path lengths must be finite, got "):
+        geometry_to_links(SlitGeometry(d, L, 0.0, 2.0), 8)
+
+
 # ---------------------------------------------------------------------------
 # package surface
 
@@ -182,3 +204,86 @@ def test_public_names_are_pinned():
         "project_source", "scc", "serialize_graph", "spectral", "split_links",
         "trig_lemmas", "twinslit", "uniform_link_values", "validate_complex", "verify_scc",
     ]
+
+
+def _public_parameters():
+    """Parameter names of each public function and class, and of each public method."""
+    pinned = {}
+    for name in ladderfield.__all__:
+        obj = getattr(ladderfield, name)
+        # an exception class without its own __init__ (RowSpaceError) has no signature
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and "__init__" in vars(obj)):
+            pinned[name] = tuple(inspect.signature(obj).parameters)
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
+                    pinned[f"{name}.{attr}"] = tuple(inspect.signature(getattr(obj, attr)).parameters)
+    return pinned
+
+
+def test_public_parameter_names_are_pinned():
+    # a knob added or removed shows up here as a test change
+    assert _public_parameters() == {
+        'ChainComplex': ('d1', 'd2'),
+        'ChainComplex.from_graph': ('graph',),
+        'GaugeObstruction': ('message', 'mode_index'),
+        'LadderGraph': ('n_vertices', 'links', 'plaquettes'),
+        'Link': ('tail', 'head', 'kind'),
+        'PartitionResult': ('log_magnitude', 'phase', 'restricted_dimension', 'exponent_term', 'error_estimate', 'underresolved'),
+        'PhaseDecomposition': ('phi_spatial', 'phi_temporal', 'phi_mixed', 'total', 'regime'),
+        'SccReport': ('max_identity_residual', 'source_sum', 'max_constant_mode_residual', 'exact'),
+        'SccSystem': ('n', 'alpha', 'beta', 'hbar', 'K', 'J', 'boundary'),
+        'SccViolation': ('message', 'max_residual'),
+        'SlitGeometry': ('slit_separation', 'screen_distance', 'detector_position', 'wavelength'),
+        'SlitGeometry.at': ('self', 'y'),
+        'Spectrum': ('eigenvalues', 'eigenvectors', 'parity', 'zero_modes', 'degeneracy_groups', 'beta', 'regime'),
+        'Spectrum.eigenpairs': ('self',),
+        'TrigIdentityReport': ('n_vertices', 'sine_sum_error', 'cot_square_error', 'composite_error'),
+        'TrigIdentityReport.passed': ('self',),
+        'TwinSlitConfig': ('n_vertices', 'e_x', 'e_x_alt', 'e_T', 'alpha', 'beta', 'hbar', 'lambda_hat'),
+        'TwinSlitConfig.calibrated': ('n_vertices', 'e_x', 'e_x_alt', 'e_T', 'lambda_hat', 'hbar'),
+        'ValidationReport': ('checks',),
+        'boundary_1': ('graph',),
+        'boundary_2': ('graph',),
+        'brute_force_Z': ('system', 'spectrum', 'method', 'budget', 'seed'),
+        'build_chain_complex': ('n_vertices',),
+        'build_ladder_graph': ('n_vertices',),
+        'build_operator': ('c', 'n', 'beta'),
+        'build_source': ('c', 'n', 'cell_values', 'alpha'),
+        'build_system': ('c', 'n', 'cell_values', 'alpha', 'beta', 'hbar'),
+        'classical_solution': ('system', 'spectrum', 'row_space_tol'),
+        'conditional_amplitude': ('config', 'which', 'outcome', 'mode'),
+        'continue_to_lorentzian': ('spectrum', 'n_vertices'),
+        'euclidean_Z': ('system', 'spectrum', 'row_space_tol'),
+        'fierz_pauli_apply': ('k', 'h'),
+        'fierz_pauli_kernel': ('k',),
+        'gauge_tensor': ('k', 'eps'),
+        'geometry_to_links': ('geometry', 'n_vertices'),
+        'gradient_link_values': ('c', 'vertex_values'),
+        'interference_order': ('config',),
+        'interference_phase_difference': ('config',),
+        'ladder_spectrum_closed_form': ('n_vertices', 'beta'),
+        'lorentzian_operator': ('K', 'beta'),
+        'maxwell_kernel': ('k',),
+        'minkowski_square': ('k',),
+        'nrqm_intensity': ('path_diff', 'wavelength'),
+        'nrqm_maximum_position': ('slit_separation', 'screen_distance', 'wavelength', 'order'),
+        'null_residual': ('kernel', 'direction'),
+        'null_space_basis': ('K',),
+        'null_space_dimension': ('kernel',),
+        'numeric_spectrum': ('K',),
+        'outcome_probability': ('system', 'spectrum', 'mode', 'outcome', 'row_space_tol'),
+        'parity_swap_matrix': ('n_vertices',),
+        'parse_graph': ('text',),
+        'path_difference': ('geometry',),
+        'path_lengths': ('geometry',),
+        'phase_decomposition': ('link_values', 'n_vertices', 'alpha', 'hbar', 'beta', 'regime'),
+        'phase_exponent': ('projections', 'eigenvalues', 'hbar', 'beta'),
+        'project_source': ('J', 'spectrum'),
+        'serialize_graph': ('graph',),
+        'split_links': ('link_values', 'n_vertices'),
+        'trig_lemmas': ('n_vertices',),
+        'uniform_link_values': ('n_vertices', 'e_x', 'e_T'),
+        'validate_complex': ('c',),
+        'verify_scc': ('system', 'vertex_values'),
+    }

@@ -194,6 +194,22 @@ def test_quadrature_refuses_a_budget_below_one(budget):
         brute_force_Z(system, s, method="quadrature", budget=budget)
 
 
+def test_every_route_gives_log_z_zero_at_restricted_dimension_zero():
+    # at beta = 0 every mode is a zero mode, and a zero source lies in the (empty) row space
+    c = build_chain_complex(6)
+    system = build_system(c, 1, np.zeros(7), alpha=1.0, beta=0)
+    s = ladder_spectrum_closed_form(6, beta=0)
+    routes = [
+        euclidean_Z(system, s),
+        brute_force_Z(system, s, method="quadrature"),
+        brute_force_Z(system, s, method="mc", budget=2_000),
+    ]
+    for res in routes:
+        assert res.restricted_dimension == 0
+        assert (res.log_magnitude, res.exponent_term) == (0.0, 0.0)
+        assert type(res.exponent_term) is float
+
+
 def _full_grid_exponent(jt, a, nodes):
     """The same Gauss--Hermite rule summed term by term over all nodes**d grid points."""
     x, w = np.polynomial.hermite.hermgauss(nodes)

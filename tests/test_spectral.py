@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import subspace_angles
 
 from ladderfield.chain_complex import build_chain_complex
-from ladderfield.scc import build_operator
+from ladderfield.scc import build_operator, null_space_basis
 from ladderfield.spectral import (
     continue_to_lorentzian,
     ladder_spectrum_closed_form,
@@ -238,13 +238,32 @@ def test_eigenpairs_iteration():
     assert_allclose(vec, s.eigenvectors[:, 0])
 
 
+def _reference_bookkeeping(vals, vecs, parity):
+    """Loop-built bookkeeping: a stable ascending sort, then each column flipped
+    so its largest-magnitude entry is positive, then zero modes and groups."""
+    order = np.argsort(np.array(vals), kind="stable")
+    vals = np.array(vals)[order]
+    vecs = np.array(vecs)[:, order]
+    for i in range(vals.size):
+        if vecs[np.argmax(np.abs(vecs[:, i])), i] < 0:
+            vecs[:, i] = -vecs[:, i]
+    top = np.max(np.abs(vals))
+    zero = tuple(i for i in range(vals.size) if abs(vals[i]) <= 1e-9 * top)
+    groups = [[0]]
+    for i in range(1, vals.size):
+        if abs(vals[i] - vals[groups[-1][-1]]) <= 1e-9 * max(top, 1.0):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return vals, vecs, tuple(parity[i] for i in order), zero, tuple(map(tuple, groups))
+
+
 def _reference_closed_form(n, beta):
     """The per-mode construction of the closed form, with its own sort and sign rule.
 
     Kept as the reference the vectorized builder must reproduce bit for
-    bit: modes in j order, symmetric before antisymmetric, then a stable
-    ascending sort, then each column flipped so its largest-magnitude
-    entry is positive.
+    bit: modes in j order, symmetric before antisymmetric, then the
+    loop-built bookkeeping.
     """
     half = n // 2
     vals, cols, parity = [], [], []
@@ -258,33 +277,85 @@ def _reference_closed_form(n, beta):
         vals += [beta * (lam - 1.0), beta * (lam + 1.0)]
         cols += [np.concatenate([x, x]), np.concatenate([x, -x])]
         parity += ["symmetric", "antisymmetric"]
-    order = np.argsort(np.array(vals), kind="stable")
-    vals = np.array(vals)[order]
-    vecs = np.column_stack(cols)[:, order]
-    for i in range(n):
-        if vecs[np.argmax(np.abs(vecs[:, i])), i] < 0:
-            vecs[:, i] = -vecs[:, i]
-    top = np.max(np.abs(vals))
-    zero = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= 1e-9 * top))
-    groups = [[0]]
-    for i in range(1, n):
-        if abs(vals[i] - vals[groups[-1][-1]]) <= 1e-9 * max(top, 1.0):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return vals, vecs, tuple(parity[i] for i in order), zero, tuple(map(tuple, groups))
+    return _reference_bookkeeping(vals, np.column_stack(cols), parity)
 
 
-@pytest.mark.parametrize("beta", [1, 2.5])
-@pytest.mark.parametrize("n", [4, 6, 8, 10, 130, 512])
-def test_closed_form_is_bitwise_the_per_mode_construction(n, beta):
-    vals, vecs, parity, zero, groups = _reference_closed_form(n, beta)
-    s = ladder_spectrum_closed_form(n, beta=beta)
+def _reference_continued(reference, beta):
+    """Antisymmetric eigenvalues of a sorted reference spectrum moved down by 4 beta, re-sorted."""
+    vals, vecs, parity = reference[:3]
+    shifted = [v - 4.0 * beta if p == "antisymmetric" else v for v, p in zip(vals, parity)]
+    return _reference_bookkeeping(shifted, vecs, parity)
+
+
+def _assert_spectrum_is(s, reference):
+    vals, vecs, parity, zero, groups = reference
     assert_array_equal(s.eigenvalues, vals)
+    assert_array_equal(np.signbit(s.eigenvalues), np.signbit(vals))  # -0.0 included
     assert_array_equal(s.eigenvectors, vecs)
     assert s.parity == parity
     assert s.zero_modes == zero
     assert s.degeneracy_groups == groups
+    assert s.nonzero_modes == tuple(i for i in range(len(vals)) if i not in zero)
+    indices = s.zero_modes + s.nonzero_modes + sum(s.degeneracy_groups, ())
+    assert all(type(i) is int for i in indices)
+
+
+@pytest.mark.parametrize("beta", [1, 2.5, -2])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 130, 512])
+def test_closed_form_is_bitwise_the_per_mode_construction(n, beta):
+    reference = _reference_closed_form(n, beta)
+    s = ladder_spectrum_closed_form(n, beta=beta)
+    _assert_spectrum_is(s, reference)
+    _assert_spectrum_is(continue_to_lorentzian(s, n), _reference_continued(reference, beta))
+
+
+def _reference_numeric(K):
+    """numeric_spectrum rebuilt with loops: dense eigh, parity rotation per group, bookkeeping."""
+    K = np.asarray(K, dtype=float)
+    vals, vecs = np.linalg.eigh(K)
+    n = K.shape[0]
+    parity = [None] * n
+    swap = np.roll(np.eye(n), n // 2, axis=1)
+    atol = 1e-12 * max(np.abs(K).max(), 1.0)
+    if n >= 4 and n % 2 == 0 and np.allclose(swap @ K @ swap, K, rtol=0.0, atol=atol):
+        for group in _reference_bookkeeping(vals, vecs, parity)[4]:
+            idx = list(group)
+            w, R = np.linalg.eigh(vecs[:, idx].T @ swap @ vecs[:, idx])
+            vecs[:, idx] = vecs[:, idx] @ R
+            for pos, wi in zip(idx, w):
+                if abs(wi - 1.0) < 1e-6:
+                    parity[pos] = "symmetric"
+                elif abs(wi + 1.0) < 1e-6:
+                    parity[pos] = "antisymmetric"
+    return _reference_bookkeeping(vals, vecs, parity)
+
+
+DEGENERATE_WITH_ZERO_MODES = {
+    "diag(0, 4, 0, 1)": np.diag([0.0, 4.0, 0.0, 1.0]),
+    "lorentzian N=8": lorentzian_operator(build_operator(build_chain_complex(8), 1, 1)),
+    "lorentzian N=12": lorentzian_operator(build_operator(build_chain_complex(12), 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_WITH_ZERO_MODES))
+def test_numeric_spectrum_and_null_basis_are_bitwise_the_loop_references(name):
+    K = DEGENERATE_WITH_ZERO_MODES[name]
+    reference = _reference_numeric(K)
+    zero, groups = reference[3], reference[4]
+    assert len(zero) >= 2 and any(len(g) >= 2 for g in groups)  # the cases these inputs stand for
+    _assert_spectrum_is(numeric_spectrum(K), reference)
+
+    # null_space_basis: eigh, the zero columns by the same rule, each sign-fixed by a loop
+    vals, vecs = np.linalg.eigh(np.asarray(K, dtype=float))
+    top = np.max(np.abs(vals))
+    null = vecs[:, [i for i in range(vals.size) if abs(vals[i]) <= 1e-9 * top]]
+    for i in range(null.shape[1]):
+        if null[np.argmax(np.abs(null[:, i])), i] < 0:
+            null[:, i] = -null[:, i]
+    basis = null_space_basis(K)
+    assert len(basis) == null.shape[1]
+    for got, want in zip(basis, null.T):
+        assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
