@@ -56,6 +56,22 @@ def check_coupling(beta):
     return beta
 
 
+def check_symmetric(a) -> np.ndarray:
+    """``a`` as floats; ValueError unless each matrix ``a[..., :, :]`` is finite and symmetric.
+
+    Each matrix's largest asymmetry may be at most 1e-12 times its largest
+    entry (or 1e-12, for entries below 1).
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
+    if not np.all(asym <= 1e-12 * scale):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(asym):.3e})")
+    return a
+
+
 def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> bool:
     """Whether ``scalar * (matrix @ x)`` (or ``scalar * x``) runs in exact int64.
 

@@ -242,6 +242,11 @@ def _cmd_twinslit(args) -> str:
         dphi = interference_phase_difference(config)
         if not math.isfinite(dphi):
             raise ValueError(f"phase difference at y={_fmt(float(y))} is not finite")
+        if math.ulp(dphi) > MAXIMUM_PHASE_TOL:
+            raise ValueError(
+                f"phase difference at y={_fmt(float(y))} is {_fmt(dphi)} rad, too large to "
+                f"resolve a maximum: its float spacing exceeds {_fmt(MAXIMUM_PHASE_TOL)}"
+            )
         nearest = int(round(dphi / (2.0 * math.pi)))
         is_max = abs(dphi - 2.0 * math.pi * nearest) <= MAXIMUM_PHASE_TOL
         intensity = nrqm_intensity(path_difference(geometry), args.lam)

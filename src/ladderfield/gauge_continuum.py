@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chain_complex import check_symmetric
+
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
 
@@ -39,105 +41,102 @@ MINKOWSKI.setflags(write=False)
 NULL_SV_RTOL = 1e-9
 
 
+def _four_vector(v, name="momentum") -> np.ndarray:
+    """``v`` as a float array; ValueError unless it has shape (4,) and finite components."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (4,):
+        raise ValueError(f"expected a four-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} components must be finite")
+    return v
+
+
+def _tensors(h) -> np.ndarray:
+    """``h`` as a float array; ValueError unless it is a 4x4 tensor or a stack h[..., 4, 4]."""
+    h = np.asarray(h, dtype=float)
+    if h.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 tensor or a stack of them, got shape {h.shape}")
+    return h
+
+
 def minkowski_square(k) -> float:
     """k^2 = k.eta.k for an upper-index four-vector."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (4,):
-        raise ValueError(f"expected a four-vector, got shape {k.shape}")
+    k = _four_vector(k)
     return float(k @ MINKOWSKI @ k)
 
 
 def lower_index(k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    return MINKOWSKI @ k
+    return MINKOWSKI @ _four_vector(k)
 
 
 def maxwell_kernel(k) -> np.ndarray:
     """Covariant matrix -k^2 eta + k (x) k (both indices lowered)."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (4,):
-        raise ValueError(f"expected a four-vector, got shape {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise ValueError("momentum components must be finite")
-    k_lo = MINKOWSKI @ k
+    k_lo = lower_index(k)
     return -minkowski_square(k) * MINKOWSKI + np.outer(k_lo, k_lo)
 
 
 def fierz_pauli_apply(k, h) -> np.ndarray:
-    """Apply the weak-field kinetic operator to a symmetric tensor h_ab."""
-    k = np.asarray(k, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if k.shape != (4,) or h.shape != (4, 4):
-        raise ValueError("expected a four-vector and a 4x4 tensor")
-    if np.max(np.abs(h - h.T), initial=0.0) > 1e-12 * max(np.max(np.abs(h), initial=0.0), 1.0):
-        raise ValueError("tensor argument must be symmetric")
+    """Apply the weak-field kinetic operator to a symmetric tensor h_ab or a stack h[..., a, b]."""
+    k = _four_vector(k)
+    h = check_symmetric(_tensors(h))
     k_lo = MINKOWSKI @ k
     k2 = float(k @ k_lo)
-    trace = float(np.einsum("ab,ab->", MINKOWSKI, h))  # eta inverse has the same entries
+    # eta inverse has the same entries
+    trace = np.einsum("ab,...ab->...", MINKOWSKI, h)[..., None, None]
     kh = k @ h  # k^a h_{a nu}
-    khk = float(k @ h @ k)
+    khk = kh[..., None, :] @ k[:, None]  # one dot per tensor: rounds as k @ h @ k does
     return 0.5 * (
         k2 * h
         + np.outer(k_lo, k_lo) * trace
-        - np.outer(k_lo, kh)
-        - np.outer(kh, k_lo)
+        - k_lo[:, None] * kh[..., None, :]
+        - kh[..., :, None] * k_lo
         - MINKOWSKI * (k2 * trace)
         + MINKOWSKI * khk
     )
 
 
-def _symmetric_basis() -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of symmetric 4x4 tensors (fixed order)."""
-    basis = []
-    for i in range(4):
-        for j in range(i, 4):
-            B = np.zeros((4, 4))
-            if i == j:
-                B[i, i] = 1.0
-            else:
-                B[i, j] = B[j, i] = 1.0 / np.sqrt(2.0)
-            B.setflags(write=False)
-            basis.append(B)
-    return basis
-
-
-SYMMETRIC_BASIS = _symmetric_basis()
+#: Frobenius-orthonormal basis of symmetric 4x4 tensors, one (4, 4) slice per
+#: upper-triangle entry (a, b) in row-major order: E_aa, or (E_ab + E_ba) / sqrt 2.
+_ROWS, _COLS = np.triu_indices(4)
+SYMMETRIC_BASIS = np.zeros((10, 4, 4))
+SYMMETRIC_BASIS[range(10), _ROWS, _COLS] = SYMMETRIC_BASIS[range(10), _COLS, _ROWS] = np.where(
+    _ROWS == _COLS, 1.0, 1.0 / np.sqrt(2.0)
+)
+SYMMETRIC_BASIS.setflags(write=False)
 
 
 def sym_to_vec(h) -> np.ndarray:
-    """Coordinates of a symmetric tensor in SYMMETRIC_BASIS."""
-    h = np.asarray(h, dtype=float)
-    return np.array([float(np.sum(h * B)) for B in SYMMETRIC_BASIS])
+    """Coordinates of a symmetric tensor (or of each of a stack h[..., 4, 4]) in SYMMETRIC_BASIS."""
+    return np.einsum("pab,...ab->...p", SYMMETRIC_BASIS, _tensors(h))
 
 
 def vec_to_sym(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (10,):
         raise ValueError(f"expected 10 coordinates, got shape {x.shape}")
-    out = np.zeros((4, 4))
-    for c, B in zip(x, SYMMETRIC_BASIS):
-        out += c * B
-    return out
+    return np.einsum("p,pab->ab", x, SYMMETRIC_BASIS)
 
 
 def fierz_pauli_kernel(k) -> np.ndarray:
-    """The 10x10 matrix of fierz_pauli_apply in SYMMETRIC_BASIS coordinates."""
-    M = np.empty((10, 10))
-    for col, B in enumerate(SYMMETRIC_BASIS):
-        M[:, col] = sym_to_vec(fierz_pauli_apply(k, B))
-    return M
+    """The 10x10 matrix of fierz_pauli_apply in SYMMETRIC_BASIS coordinates.
+
+    Column q holds the coordinates of the operator applied to basis tensor q.
+    Built row-major (C-contiguous): products with it then take the same BLAS
+    path, and round the same way, on every call.
+    """
+    return np.einsum("pab,qab->pq", SYMMETRIC_BASIS, fierz_pauli_apply(k, SYMMETRIC_BASIS))
 
 
 def gauge_tensor(k, eps) -> np.ndarray:
     """The pure-gauge symmetric tensor k_a eps_b + k_b eps_a (lower indices)."""
     k_lo = lower_index(k)
-    e_lo = lower_index(eps)
+    e_lo = MINKOWSKI @ _four_vector(eps, "gauge parameter")
     return np.outer(k_lo, e_lo) + np.outer(e_lo, k_lo)
 
 
 def output_divergence(k, out) -> np.ndarray | float:
     """Contract kernel output (covariant) with k^a on its first index."""
-    k = np.asarray(k, dtype=float)
+    k = _four_vector(k)
     out = np.asarray(out, dtype=float)
     if out.ndim == 1:
         return float(k @ out)

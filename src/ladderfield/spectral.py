@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_complex import _exact_route, _frozen, check_coupling, check_n
+from .chain_complex import _exact_route, _frozen, check_coupling, check_n, check_symmetric
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -107,10 +107,7 @@ def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    asym = np.max(np.abs(K - K.T), initial=0.0)
-    if asym > 1e-12 * max(np.max(np.abs(K), initial=0.0), 1.0):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    return np.linalg.eigh(K)
+    return np.linalg.eigh(check_symmetric(K))
 
 
 def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:

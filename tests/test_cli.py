@@ -411,6 +411,9 @@ def test_partition_oracles_at_restricted_dimension_zero(tmp_path):
         ("10", "inf", "2", "path lengths must be finite, got inf and inf"),
         # the couplings fit, but the phase difference overflows
         ("10", "1000", "1e-150", "phase difference at y=-1 is not finite"),
+        # finite, but one ulp of the phase exceeds MAXIMUM_PHASE_TOL (|phase| >= 2**23)
+        ("10", "1000", "5e-9", "phase difference at y=-1 is 12566207.2554 rad, too large to resolve"),
+        ("10", "1000", "1e-20", "phase difference at y=-1 is 6.28310362735e+18 rad, too large"),
     ],
 )
 def test_twinslit_refuses_what_the_calibration_cannot_represent(d, L, lam, message):
@@ -418,3 +421,11 @@ def test_twinslit_refuses_what_the_calibration_cannot_represent(d, L, lam, messa
                        "--y-range=-1:1:2")
     assert (rc, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_twinslit_still_sweeps_phases_whose_ulp_resolves_a_maximum():
+    rc, out, err = run("twinslit", "--n", "8", "--d", "10", "--L", "1000", "--lambda", "1e-8",
+                       "--y-range=-1:1:2")
+    assert (rc, err) == (0, "")
+    assert body(out)[1:] == ["-1,6283103.6275,999987,false,3.99999729777",
+                             "1,-6283103.6275,-999987,false,3.99999729777"]

@@ -13,17 +13,29 @@ from hypothesis import strategies as st
 import ladderfield
 from ladderfield.chain_complex import build_chain_complex, build_ladder_graph, check_n
 from ladderfield.errors import SccViolation
+from ladderfield.gauge_continuum import (
+    fierz_pauli_apply,
+    fierz_pauli_kernel,
+    gauge_tensor,
+    lower_index,
+    maxwell_kernel,
+    minkowski_square,
+    output_divergence,
+    sym_to_vec,
+)
 from ladderfield.scc import (
     SccSystem,
     build_operator,
     build_source,
     build_system,
     gradient_link_values,
+    null_space_basis,
     verify_scc,
 )
 from ladderfield.spectral import (
     ladder_spectrum_closed_form,
     lorentzian_operator,
+    numeric_spectrum,
     parity_swap_matrix,
 )
 from ladderfield.twinslit import (
@@ -179,6 +191,90 @@ def test_calibration_just_inside_the_float_range(lambda_hat):
 def test_geometry_to_links_refuses_non_finite_path_lengths(d, L):
     with pytest.raises(ValueError, match="^path lengths must be finite, got "):
         geometry_to_links(SlitGeometry(d, L, 0.0, 2.0), 8)
+
+
+# ---------------------------------------------------------------------------
+# four-vectors, 4x4 tensors and symmetric matrices
+
+_K = np.array([1.5, 0.3, 0.0, -0.2])
+
+MOMENTUM_ENTRY_POINTS = {
+    "minkowski_square": minkowski_square,
+    "lower_index": lower_index,
+    "maxwell_kernel": maxwell_kernel,
+    "fierz_pauli_apply": lambda k: fierz_pauli_apply(k, np.eye(4)),
+    "fierz_pauli_kernel": fierz_pauli_kernel,
+    "gauge_tensor": lambda k: gauge_tensor(k, _K),
+    "output_divergence": lambda k: output_divergence(k, np.eye(4)),
+}
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ([np.inf, 0, 0, 0], "momentum components must be finite"),
+        ([0, 0, -np.inf, 0], "momentum components must be finite"),
+        ([1.0, np.nan, 0, 0], "momentum components must be finite"),
+        ([1, 2, 3], "expected a four-vector, got shape (3,)"),
+        (np.eye(4), "expected a four-vector, got shape (4, 4)"),
+        (2.0, "expected a four-vector, got shape ()"),
+    ],
+)
+@pytest.mark.parametrize("entry", sorted(MOMENTUM_ENTRY_POINTS))
+def test_every_momentum_entry_point_refuses_a_bad_four_vector_the_same_way(entry, k, message):
+    # RuntimeWarning is an error in this suite, so a numpy warning on the way fails too
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MOMENTUM_ENTRY_POINTS[entry](np.array(k, dtype=float))
+
+
+def test_gauge_tensor_refuses_a_bad_gauge_parameter():
+    with pytest.raises(ValueError, match="^gauge parameter components must be finite$"):
+        gauge_tensor(_K, [np.inf, 0, 0, 0])
+    with pytest.raises(ValueError, match=re.escape("expected a four-vector, got shape (3,)")):
+        gauge_tensor(_K, [1, 2, 3])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 3), (2, 4, 5), ()])
+@pytest.mark.parametrize(
+    "entry", [sym_to_vec, lambda h: fierz_pauli_apply(_K, h)], ids=["sym_to_vec", "fierz_pauli_apply"]
+)
+def test_tensor_entry_points_refuse_a_shape_other_than_4x4(entry, shape):
+    message = f"expected a 4x4 tensor or a stack of them, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(np.zeros(shape))
+
+
+SYMMETRIC_ENTRY_POINTS = {
+    "numeric_spectrum": numeric_spectrum,
+    "null_space_basis": null_space_basis,
+    "fierz_pauli_apply": lambda h: fierz_pauli_apply(_K, h),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(SYMMETRIC_ENTRY_POINTS))
+def test_symmetric_entry_points_refuse_non_finite_entries(entry, bad):
+    h = np.eye(4)
+    h[0, 0] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        SYMMETRIC_ENTRY_POINTS[entry](h)
+
+
+@pytest.mark.parametrize("entry", sorted(SYMMETRIC_ENTRY_POINTS))
+def test_symmetric_entry_points_refuse_an_asymmetric_matrix(entry):
+    h = np.eye(4)
+    h[0, 1] = 1e-6
+    with pytest.raises(ValueError, match=re.escape("matrix is not symmetric (max asymmetry 1.000e-06)")):
+        SYMMETRIC_ENTRY_POINTS[entry](h)
+
+
+def test_a_stacked_apply_checks_each_tensor_on_its_own_scale():
+    # 1e-9 asymmetry passes next to entries of 1e4, not next to entries of 1
+    h = np.stack([np.eye(4) * 1e4, np.eye(4)])
+    h[:, 0, 1] += 1e-9
+    fierz_pauli_apply(_K, h[:1])
+    with pytest.raises(ValueError, match="^matrix is not symmetric"):
+        fierz_pauli_apply(_K, h)
 
 
 # ---------------------------------------------------------------------------
