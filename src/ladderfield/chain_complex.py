@@ -65,7 +65,8 @@ def check_symmetric(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
+    with np.errstate(over="ignore"):  # finite entries of opposite sign near the float maximum
+        asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
     scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
     if not np.all(asym <= 1e-12 * scale):
         raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(asym):.3e})")
@@ -89,6 +90,23 @@ def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> boo
             "(scalar * largest row sum * largest entry)"
         )
     return True
+
+
+def _product_of_nonzeros(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as a dense array, summed over the pairs of nonzeros a[i, k], b[k, j].
+
+    The work grows with the number of such pairs, not with the cube of the
+    size; integer arrays give the same int64 integers as ``a @ b``.
+    """
+    ia, ka = np.nonzero(a)
+    kb, jb = np.nonzero(b)  # b's nonzeros grouped by row k
+    count = np.bincount(kb, minlength=b.shape[0])[ka]  # partners of each nonzero of a
+    # pair each nonzero of a with the `count` nonzeros of b's row k, from the row's first on
+    first = np.repeat(np.arange(ka.size), count)
+    second = np.arange(first.size) + np.repeat(np.searchsorted(kb, ka) + count - np.cumsum(count), count)
+    m = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    np.add.at(m, (ia[first], jb[second]), a[ia, ka][first] * b[kb, jb][second])
+    return m
 
 
 @dataclass(frozen=True)
@@ -257,7 +275,7 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
         ok = bool(np.all(sides == 4) and np.all(balance == 0))
         checks.append(ComplexCheck("plaquette-sides", ok, "each d2 column has four sign-balanced sides"))
 
-    comp = c.d1 @ c.d2
+    comp = _product_of_nonzeros(c.d1, c.d2)
     ok = not np.any(comp)
     worst = int(np.max(np.abs(comp))) if comp.size else 0
     checks.append(ComplexCheck("boundary-of-boundary", ok, f"d1 @ d2 == 0 (max |entry| {worst})"))

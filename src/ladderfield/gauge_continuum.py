@@ -59,6 +59,16 @@ def _tensors(h) -> np.ndarray:
     return h
 
 
+def _kernel(kernel) -> np.ndarray:
+    """``kernel`` as a float array; ValueError unless it is a 2-D matrix of finite entries."""
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 2:
+        raise ValueError(f"expected a 2-D kernel, got shape {kernel.shape}")
+    if not np.all(np.isfinite(kernel)):
+        raise ValueError("kernel entries must be finite")
+    return kernel
+
+
 def minkowski_square(k) -> float:
     """k^2 = k.eta.k for an upper-index four-vector."""
     k = _four_vector(k)
@@ -138,15 +148,20 @@ def output_divergence(k, out) -> np.ndarray | float:
     """Contract kernel output (covariant) with k^a on its first index."""
     k = _four_vector(k)
     out = np.asarray(out, dtype=float)
-    if out.ndim == 1:
-        return float(k @ out)
-    return k @ out
+    if out.shape[:1] != (4,):
+        raise ValueError(f"expected an output whose first axis is 4, got shape {out.shape}")
+    div = np.tensordot(k, out, axes=1)  # the first axis, for an output of any rank
+    return float(div) if out.ndim == 1 else div
 
 
 def null_residual(kernel, direction) -> float:
     """|kernel . direction| / (|kernel| |direction|), a scale-free nullity measure."""
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = _kernel(kernel)
     direction = np.asarray(direction, dtype=float)
+    if direction.shape != kernel.shape[1:]:
+        raise ValueError(f"expected a direction of shape {kernel.shape[1:]}, got shape {direction.shape}")
+    if not np.all(np.isfinite(direction)):
+        raise ValueError("direction entries must be finite")
     norm_dir = float(np.linalg.norm(direction))
     if norm_dir == 0.0:
         raise ValueError("direction must be nonzero")
@@ -158,7 +173,7 @@ def null_residual(kernel, direction) -> float:
 
 def null_space_dimension(kernel) -> int:
     """Count singular values at most NULL_SV_RTOL times the largest."""
-    sv = np.linalg.svd(np.asarray(kernel, dtype=float), compute_uv=False)
+    sv = np.linalg.svd(_kernel(kernel), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return int(sv.size)
     return int(np.sum(sv <= NULL_SV_RTOL * sv[0]))

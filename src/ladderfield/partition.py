@@ -241,8 +241,8 @@ def brute_force_Z(
         while drawn < samples:
             m = min(chunk, samples - drawn)
             z = rng.standard_normal((m, d))
-            q = z / np.sqrt(a)
-            log_weights[drawn : drawn + m] = np.einsum("ij,j->i", q, jt)
+            z /= np.sqrt(a)  # in place: the draws become Q, with no second (m, d) array
+            log_weights[drawn : drawn + m] = np.einsum("ij,j->i", z, jt)
             drawn += m
         exponent = _log_mean_exp(log_weights)
         w = np.exp(log_weights - exponent)  # weights relative to their mean

@@ -25,6 +25,7 @@ picks up a second null direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +41,36 @@ ZERO_MODE_RTOL = 1e-9
 DEGENERACY_RTOL = 1e-9
 
 
+class _BuiltOnFirstRead:
+    """A field given either its value or a zero-argument builder of it.
+
+    A builder runs on the field's first read, once; its result replaces it
+    in the instance ``__dict__``, where pickle and deepcopy find either.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = instance.__dict__[self.name]
+        if callable(value):
+            value = instance.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, instance, value):
+        instance.__dict__[self.name] = value
+
+
+class _LazyFields:
+    # declared on a private base, so vars(Spectrum) lists no descriptor
+    eigenvectors = _BuiltOnFirstRead()
+    degeneracy_groups = _BuiltOnFirstRead()
+
+
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_LazyFields):
     """Eigenvalues (ascending), eigenvectors (columns), and bookkeeping.
 
     Each eigenvector column has its largest-magnitude entry positive
@@ -49,6 +78,10 @@ class Spectrum:
     'symmetric' / 'antisymmetric' under the rail swap, or None when no
     parity structure applies.  ``beta`` is the coupling the operator was
     built with, so unit-coupling shape eigenvalues are ``eigenvalues / beta``.
+
+    ``eigenvectors`` and ``degeneracy_groups`` each take a value or a
+    zero-argument builder; a builder runs on the first read and its result
+    is kept, so a caller that reads only eigenvalues never pays for them.
     """
 
     eigenvalues: np.ndarray
@@ -110,39 +143,37 @@ def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(check_symmetric(K))
 
 
-def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:
-    """Sort the modes stably by eigenvalue; the vectors arrive sign-fixed."""
+def _columns_in_order(build_vecs, order: np.ndarray) -> np.ndarray:
+    return _frozen(np.asarray(build_vecs(), dtype=float)[:, order])
+
+
+def _assemble(vals, build_vecs, parity, beta, regime) -> Spectrum:
+    """Sort the modes stably by eigenvalue.
+
+    ``build_vecs`` is a zero-argument builder of the sign-fixed vectors in
+    the order of ``vals``; it runs, and the columns are sorted, only when
+    the eigenvectors are first read, and the degeneracy groups likewise.
+    Builders are module-level functions bound by ``partial``, so a
+    Spectrum pickles before its first read as after it.
+    """
     order = np.argsort(vals, kind="stable")
-    vals = np.asarray(vals, dtype=float)[order]
-    vecs = np.asarray(vecs, dtype=float)[:, order]
-    parity = tuple(parity[i] for i in order)
+    vals = _frozen(np.asarray(vals, dtype=float)[order])
     return Spectrum(
-        eigenvalues=_frozen(vals),
-        eigenvectors=_frozen(vecs),
-        parity=parity,
+        eigenvalues=vals,
+        eigenvectors=partial(_columns_in_order, build_vecs, order),
+        parity=tuple(parity[i] for i in order),
         zero_modes=_zero_mode_indices(vals),
-        degeneracy_groups=_degeneracy_groups(vals),
+        degeneracy_groups=partial(_degeneracy_groups, vals),
         beta=float(beta),
         regime=regime,
     )
 
 
-def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
-    """The exact eigensystem of the degree-1 ladder operator.
-
-    Eigenvalues are beta (lam_j -+ 1) as in the module docstring;
-    eigenvectors come out orthonormal by construction.
-    """
-    n = check_n(n_vertices)
-    beta = check_coupling(beta)
+def _closed_form_vectors(n: int) -> np.ndarray:
+    """Sign-fixed closed-form eigenvectors, mode j in columns 2j (symmetric) and 2j + 1."""
     half = n // 2
     j = np.arange(half)
-    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
-    vals = np.empty(n)
-    vals[0::2] = beta * (lam - 1.0)
-    vals[1::2] = beta * (lam + 1.0)
-
-    # column j of x is the half-vector x_j; mode j fills columns 2j and 2j + 1
+    # column j of x is the half-vector x_j
     vecs = np.empty((n, n))
     x = vecs[:half, 0::2]
     np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * j + 1, j) * np.pi / n), out=x)
@@ -152,7 +183,25 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     vecs[half:, 0::2] = x
     vecs[:half, 1::2] = x
     np.negative(x, out=vecs[half:, 1::2])
-    return _assemble(vals, vecs, [SYMMETRIC, ANTISYMMETRIC] * half, beta, "euclidean")
+    return vecs
+
+
+def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
+    """The exact eigensystem of the degree-1 ladder operator.
+
+    Eigenvalues are beta (lam_j -+ 1) as in the module docstring;
+    eigenvectors come out orthonormal by construction, on first read.
+    """
+    n = check_n(n_vertices)
+    beta = check_coupling(beta)
+    half = n // 2
+    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(half) / n)
+    vals = np.empty(n)
+    vals[0::2] = beta * (lam - 1.0)
+    vals[1::2] = beta * (lam + 1.0)
+    return _assemble(
+        vals, partial(_closed_form_vectors, n), [SYMMETRIC, ANTISYMMETRIC] * half, beta, "euclidean"
+    )
 
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
@@ -207,7 +256,7 @@ def numeric_spectrum(K) -> Spectrum:
                     elif abs(wi + 1.0) < 1e-6:
                         parity[pos] = ANTISYMMETRIC
 
-    return _assemble(vals, _sign_fix(vecs), parity, 1.0, "euclidean")
+    return _assemble(vals, partial(_sign_fix, vecs), parity, 1.0, "euclidean")
 
 
 def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
@@ -226,4 +275,6 @@ def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
         )
     antisymmetric = np.array(spectrum.parity) == ANTISYMMETRIC
     vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
-    return _assemble(vals, spectrum.eigenvectors, list(spectrum.parity), spectrum.beta, "lorentzian")
+    # the parent's vectors, read (and kept by the parent) only when these are
+    parent_vecs = partial(getattr, spectrum, "eigenvectors")
+    return _assemble(vals, parent_vecs, spectrum.parity, spectrum.beta, "lorentzian")

@@ -1,5 +1,7 @@
 """Incidence structure of the ladder graph and the two boundary operators."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,65 @@ def test_validation_catches_degenerate_plaquette():
     report = validate_complex(ChainComplex(d1=c.d1, d2=d2))
     assert not report.passed
     assert any("degenerate" in check.detail for check in report.checks if not check.passed)
+
+
+def _dense_composition_check(c):
+    """The boundary-of-boundary check read off the dense product d1 @ d2."""
+    comp = c.d1 @ c.d2
+    worst = int(np.max(np.abs(comp))) if comp.size else 0
+    return ("boundary-of-boundary", not np.any(comp), f"d1 @ d2 == 0 (max |entry| {worst})")
+
+
+def _broken_complexes():
+    c = build_chain_complex(8)
+    flipped = c.d2.copy()
+    flipped[0, 0] = -flipped[0, 0]
+    degenerate = c.d2.copy()
+    degenerate[:, 1] = 0
+    # four sign-balanced sides that are no closed walk: plaquette-sides passes, the composition does not
+    wrong_walk = c.d2.copy()
+    wrong_walk[:, 0] = 0
+    wrong_walk[[0, 1, 2, 3], 0] = [1, 1, -1, -1]
+    big = c.d2 * 2**61
+    big[0, 0] = -big[0, 0]  # entries of 3 * 2**61 and more: the int64 sums wrap as d1 @ d2 does
+    return {
+        "flipped sign": ChainComplex(c.d1, flipped),
+        "degenerate plaquette": ChainComplex(c.d1, degenerate),
+        "non-cancelling walk": ChainComplex(c.d1, wrong_walk),
+        "wrapping entries": ChainComplex(c.d1 * 3, big),
+    }
+
+
+@pytest.mark.parametrize(
+    "c",
+    [build_chain_complex(n) for n in range(4, 401, 2)]
+    + [six_vertex_interleaved_complex(), *_broken_complexes().values()],
+    ids=[f"N={n}" for n in range(4, 401, 2)] + ["interleaved", *_broken_complexes()],
+)
+def test_composition_check_matches_the_dense_product(c):
+    check = validate_complex(c).checks[-1]
+    assert (check.name, check.passed, check.detail) == _dense_composition_check(c)
+
+
+def test_each_broken_complex_fails_its_check():
+    failed = {
+        name: [check.name for check in validate_complex(c).checks if not check.passed]
+        for name, c in _broken_complexes().items()
+    }
+    assert failed == {
+        "flipped sign": ["plaquette-sides", "boundary-of-boundary"],
+        "degenerate plaquette": ["plaquette-sides"],
+        "non-cancelling walk": ["boundary-of-boundary"],
+        "wrapping entries": ["link-endpoints", "plaquette-sides", "boundary-of-boundary"],
+    }
+
+
+def test_validation_of_a_large_complex_takes_no_cubic_time():
+    c = build_chain_complex(2000)
+    start = time.perf_counter()
+    report = validate_complex(c)
+    assert time.perf_counter() - start < 1.0
+    assert report.passed
 
 
 def test_validation_rejects_shape_mismatch():

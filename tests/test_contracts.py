@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,8 @@ from ladderfield.gauge_continuum import (
     lower_index,
     maxwell_kernel,
     minkowski_square,
+    null_residual,
+    null_space_dimension,
     output_divergence,
     sym_to_vec,
 )
@@ -268,6 +271,15 @@ def test_symmetric_entry_points_refuse_an_asymmetric_matrix(entry):
         SYMMETRIC_ENTRY_POINTS[entry](h)
 
 
+@pytest.mark.parametrize("entry", sorted(SYMMETRIC_ENTRY_POINTS))
+def test_symmetric_entry_points_refuse_an_asymmetry_beyond_the_float_range(entry):
+    # 1e308 - (-1e308) overflows: the verdict is the refusal, with no numpy warning on the way
+    h = np.zeros((4, 4))
+    h[0, 1], h[1, 0] = 1e308, -1e308
+    with pytest.raises(ValueError, match=re.escape("matrix is not symmetric (max asymmetry inf)")):
+        SYMMETRIC_ENTRY_POINTS[entry](h)
+
+
 def test_a_stacked_apply_checks_each_tensor_on_its_own_scale():
     # 1e-9 asymmetry passes next to entries of 1e4, not next to entries of 1
     h = np.stack([np.eye(4) * 1e4, np.eye(4)])
@@ -275,6 +287,58 @@ def test_a_stacked_apply_checks_each_tensor_on_its_own_scale():
     fierz_pauli_apply(_K, h[:1])
     with pytest.raises(ValueError, match="^matrix is not symmetric"):
         fierz_pauli_apply(_K, h)
+
+
+KERNEL_ENTRY_POINTS = {
+    "null_space_dimension": null_space_dimension,
+    "null_residual": lambda kernel: null_residual(kernel, np.ones(4)),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        (np.full((4, 4), np.nan), "kernel entries must be finite"),
+        (np.diag([np.inf, 1.0, 1.0, 1.0]), "kernel entries must be finite"),
+        (np.diag([1.0, 1.0, -np.inf, 1.0]), "kernel entries must be finite"),
+        (np.ones(4), "expected a 2-D kernel, got shape (4,)"),
+        (np.ones((2, 4, 4)), "expected a 2-D kernel, got shape (2, 4, 4)"),
+        (2.0, "expected a 2-D kernel, got shape ()"),
+    ],
+)
+@pytest.mark.parametrize("entry", sorted(KERNEL_ENTRY_POINTS))
+def test_every_kernel_entry_point_refuses_a_bad_kernel_the_same_way(entry, kernel, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KERNEL_ENTRY_POINTS[entry](kernel)
+
+
+@pytest.mark.parametrize(
+    "kernel, direction, message",
+    [
+        (np.eye(4), np.ones(3), "expected a direction of shape (4,), got shape (3,)"),
+        (np.eye(10), np.ones(4), "expected a direction of shape (10,), got shape (4,)"),
+        (np.eye(4), np.ones((4, 1)), "expected a direction of shape (4,), got shape (4, 1)"),
+        (np.eye(4), [1.0, np.nan, 0.0, 0.0], "direction entries must be finite"),
+        (np.eye(4), [0.0, 0.0, np.inf, 0.0], "direction entries must be finite"),
+    ],
+)
+def test_null_residual_refuses_a_bad_direction(kernel, direction, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        null_residual(kernel, direction)
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (3, 4), (10, 4, 4)])
+def test_output_divergence_refuses_an_output_without_four_rows(shape):
+    message = f"expected an output whose first axis is 4, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        output_divergence(_K, np.ones(shape))
+
+
+def test_output_divergence_contracts_the_first_axis_at_every_rank():
+    out = np.arange(32.0).reshape(4, 4, 2)
+    assert output_divergence(_K, out[:, 0, 0]) == float(_K @ out[:, 0, 0])
+    assert_allclose(output_divergence(_K, out[:, :, 0]), _K @ out[:, :, 0], rtol=1e-15)
+    assert_allclose(output_divergence(_K, out), np.einsum("a,abc->bc", _K, out), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

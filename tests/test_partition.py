@@ -1,6 +1,8 @@
 """Gaussian sums over vertex configurations, checked against quadrature and
 sampling oracles that never see the closed form."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -285,6 +287,36 @@ def test_sampling_method_aliases():
     a = brute_force_Z(system, s, method="mc", budget=50_000, seed=9)
     b = brute_force_Z(system, s, method="montecarlo", budget=50_000, seed=9)
     assert a.log_magnitude == b.log_magnitude
+
+
+def _two_array_mc(system, s, budget, seed):
+    """The sampling oracle with the draws and the scaled draws in separate arrays."""
+    proj = project_source(system.J, s)
+    keep = list(s.nonzero_modes)
+    jt, a = proj[keep], s.eigenvalues[keep]
+    rng = np.random.default_rng(seed)
+    log_weights = np.empty(budget)
+    for start in range(0, budget, 262_144):
+        m = min(262_144, budget - start)
+        z = rng.standard_normal((m, a.size))
+        q = z / np.sqrt(a)
+        log_weights[start : start + m] = np.einsum("ij,j->i", q, jt)
+    return log_weights
+
+
+@pytest.mark.parametrize("budget", [2, 1000, 300_000])  # the last one spans two chunks
+@pytest.mark.parametrize("n", [4, 6, 10, 14])
+def test_in_place_sampling_is_bitwise_the_two_array_form(n, budget):
+    system, _ = make_system(n, n, scale=0.5)
+    s = ladder_spectrum_closed_form(n)
+    for seed in (0, 5):
+        log_weights = _two_array_mc(system, s, budget, seed)
+        m = float(log_weights.max())
+        exponent = m + math.log(float(np.mean(np.exp(log_weights - m))))
+        res = brute_force_Z(system, s, method="mc", budget=budget, seed=seed)
+        assert res.exponent_term == exponent
+        w = np.exp(log_weights - exponent)
+        assert res.error_estimate == float(np.std(w) / math.sqrt(budget))
 
 
 def test_gauge_direction_does_not_move_observables():

@@ -1,5 +1,10 @@
 """Closed-form eigensystem of the ladder operator against dense diagonalization."""
 
+import copy
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -307,6 +312,93 @@ def test_closed_form_is_bitwise_the_per_mode_construction(n, beta):
     s = ladder_spectrum_closed_form(n, beta=beta)
     _assert_spectrum_is(s, reference)
     _assert_spectrum_is(continue_to_lorentzian(s, n), _reference_continued(reference, beta))
+
+
+def _eager_closed_form(n, beta):
+    """The closed form as built when every field was eager: the vectorized
+    vectors at once, then the loop-built bookkeeping."""
+    half = n // 2
+    j = np.arange(half)
+    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
+    vals = np.empty(n)
+    vals[0::2] = beta * (lam - 1.0)
+    vals[1::2] = beta * (lam + 1.0)
+    vecs = np.empty((n, n))
+    x = vecs[:half, 0::2]
+    np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * j + 1, j) * np.pi / n), out=x)
+    x[:, 0] = np.sqrt(1.0 / n)
+    for i in range(half):
+        if x[np.argmax(np.abs(x[:, i])), i] < 0:
+            x[:, i] = -x[:, i]
+    vecs[half:, 0::2] = x
+    vecs[:half, 1::2] = x
+    np.negative(x, out=vecs[half:, 1::2])
+    return _reference_bookkeeping(vals, vecs, ["symmetric", "antisymmetric"] * half)
+
+
+@pytest.mark.parametrize("beta", [1, 2.5, 3, -2])
+def test_lazy_fields_are_bitwise_the_eager_construction(beta):
+    for n in [*range(4, 513, 2), 1024]:
+        reference = _eager_closed_form(n, beta)
+        s = ladder_spectrum_closed_form(n, beta=beta)
+        continued = continue_to_lorentzian(s, n)
+        # the continuation is read first, so it is what builds its parent's vectors
+        for spectrum, want in ((continued, _reference_continued(reference, beta)), (s, reference)):
+            _assert_spectrum_is(spectrum, want)
+            assert spectrum.eigenvectors.dtype == np.float64
+            assert not spectrum.eigenvectors.flags.writeable
+
+
+def test_reading_the_eigenvalues_never_builds_the_vectors():
+    tracemalloc.start()
+    try:
+        s = continue_to_lorentzian(ladder_spectrum_closed_form(4096, beta=2), 4096)
+        s.eigenvalues, s.parity, s.zero_modes, s.nonzero_modes, s.is_singular
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000  # one 4096 x 4096 float64 matrix is 134 MB
+
+
+def test_a_lazy_field_is_built_once_and_stays_read_only():
+    s = continue_to_lorentzian(ladder_spectrum_closed_form(10), 10)
+    vecs, groups = s.eigenvectors, s.degeneracy_groups
+    assert s.eigenvectors is vecs and s.degeneracy_groups is groups
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        s.eigenvectors = vecs
+
+
+def _same_fields(a, b):
+    assert_array_equal(a.eigenvalues, b.eigenvalues)
+    assert_array_equal(a.eigenvectors, b.eigenvectors)
+    assert (a.parity, a.zero_modes, a.degeneracy_groups, a.beta, a.regime) == (
+        b.parity, b.zero_modes, b.degeneracy_groups, b.beta, b.regime
+    )
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize(
+    "copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_round_trip_before_and_after_the_first_read(copy_of, read_first):
+    closed = ladder_spectrum_closed_form(12, beta=2.5)
+    for s in (closed, continue_to_lorentzian(closed, 12), numeric_spectrum(dense_operator(8))):
+        if read_first:
+            s.eigenvectors, s.degeneracy_groups
+        c = copy_of(s)
+        _same_fields(c, s)  # the copy is read first: it builds from its own builders
+
+
+def test_replace_takes_the_vectors_as_given():
+    s = ladder_spectrum_closed_form(8)
+    vecs = np.eye(8)
+    r = replace(s, eigenvectors=vecs)
+    assert r.eigenvectors is vecs
+    assert r.degeneracy_groups == s.degeneracy_groups
+    assert_array_equal(r.eigenvalues, s.eigenvalues)
+    _same_fields(replace(s), s)
 
 
 def _reference_numeric(K):
