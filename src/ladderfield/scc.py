@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_complex import ChainComplex, _exact_route, _frozen, check_coupling
+from .chain_complex import ChainComplex, _exact_route, _frozen, _product_of_nonzeros, check_coupling
 from .errors import SccViolation
 from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
 
@@ -60,15 +60,7 @@ def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
     """K = beta * d_n @ d_n.T, summed over d_n's nonzeros.  Integer beta keeps the result exact."""
     d = _select_boundary(c, n)
     scalar = int(beta) if _exact_route(check_coupling(beta), d.T, d) else float(beta)
-    cols, rows = np.nonzero(d.T)  # column-major, so each column's nonzeros are adjacent
-    vals = d[rows, cols]
-    size = np.bincount(cols)[cols]  # nonzeros in the column of each nonzero
-    # pair each nonzero with the `size` nonzeros of its column, from the column's first on
-    first = np.repeat(np.arange(cols.size), size)
-    second = np.arange(first.size) + np.repeat(np.searchsorted(cols, cols) + size - np.cumsum(size), size)
-    K = np.zeros((d.shape[0], d.shape[0]), dtype=d.dtype)
-    np.add.at(K, (rows[first], rows[second]), vals[first] * vals[second])
-    return _frozen(scalar * K)
+    return _frozen(scalar * _product_of_nonzeros(d, d.T))
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
