@@ -49,11 +49,11 @@ def check_n(n_vertices) -> int:
     return int(n)
 
 
-def check_coupling(beta):
-    """The coupling unchanged; ValueError unless it is a finite number."""
-    if not isinstance(beta, Integral) and not math.isfinite(beta):
-        raise ValueError(f"coupling beta must be finite, got {beta!r}")
-    return beta
+def check_coupling(value, name="beta"):
+    """The coupling ``name`` unchanged; ValueError unless it is a finite number."""
+    if not isinstance(value, Integral) and not math.isfinite(value):
+        raise ValueError(f"coupling {name} must be finite, got {value!r}")
+    return value
 
 
 def check_symmetric(a) -> np.ndarray:
@@ -218,8 +218,10 @@ class ChainComplex:
 
 
 def build_chain_complex(n_vertices: int) -> ChainComplex:
-    """Ladder graph boundary operators for the given vertex count."""
-    return ChainComplex.from_graph(build_ladder_graph(n_vertices))
+    """Ladder graph boundary operators for the given vertex count, from one set of index arrays."""
+    n = check_n(n_vertices)
+    ends, walks = _rail_major(n)
+    return ChainComplex(_signed_incidence(n, ends * (-1, 1)), _signed_incidence(ends.shape[0], walks))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-One executable, one subcommand per module.  All output is written as a
-single buffered string so identical invocations produce identical
-bytes; every CSV (and the graph listing) starts with ``# version=`` and
-``# seed=`` metadata lines.  Exit codes: 0 success, 1 domain error
+One executable, one subcommand per module.  Each subcommand returns its
+body lines; ``main`` prefixes the ``# version=`` and ``# seed=`` metadata
+lines and writes the whole text once, so identical invocations produce
+identical bytes.  Exit codes: 0 success, 1 domain error
 (message on stderr), 2 usage error.
 """
 
@@ -51,15 +51,12 @@ _TWINSLIT_HEADER = "y,delta_phi,n_nearest,is_maximum,nrqm_intensity"
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    """A Python bool, int or float as printed; arrays reach it through ``tolist()``."""
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
-def _meta(seed: int) -> list[str]:
-    return [f"# version={__version__}", f"# seed={seed}"]
+    if isinstance(x, int):
+        return str(x)
+    return format(x, ".12g")
 
 
 def _number(text: str):
@@ -91,26 +88,19 @@ def _read_values(path: str) -> np.ndarray:
 # subcommands
 
 
-def _cmd_graph(args) -> str:
-    graph = build_ladder_graph(args.n)
-    lines = _meta(args.seed)
-    lines.append(serialize_graph(graph).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+def _cmd_graph(args) -> list[str]:
+    return [serialize_graph(build_ladder_graph(args.n)).rstrip("\n")]
 
 
-def _cmd_spectrum(args) -> str:
+def _cmd_spectrum(args) -> list[str]:
     spectrum = ladder_spectrum_closed_form(args.n, beta=args.beta)
     if args.lorentzian:
         spectrum = continue_to_lorentzian(spectrum, args.n)
-    lines = _meta(args.seed)
-    lines.append(_SPECTRUM_HEADER)
     zero = set(spectrum.zero_modes)
-    for i in range(spectrum.n_modes):
-        parity = spectrum.parity[i] or ""
-        lines.append(
-            f"{i},{_fmt(spectrum.eigenvalues[i])},{parity},{_fmt(i in zero)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = enumerate(zip(spectrum.eigenvalues.tolist(), spectrum.parity))
+    return [_SPECTRUM_HEADER] + [
+        f"{i},{_fmt(value)},{parity or ''},{_fmt(i in zero)}" for i, (value, parity) in rows
+    ]
 
 
 def _preset(spec: str, n: int | None) -> np.ndarray | None:
@@ -138,12 +128,12 @@ def _resolve_vertices(args) -> np.ndarray:
 def _matrix_block(label: str, M: np.ndarray) -> list[str]:
     # each entry is formatted once; a row is kept as one string, since N^2
     # separate cell strings would raise the peak memory of large matrices
-    rows = [" ".join(_fmt(v) for v in row) for row in M]
+    rows = [" ".join(map(_fmt, row.tolist())) for row in M]
     width = max(len(cell) for row in rows for cell in row.split(" "))
     return [label] + ["      " + " ".join(cell.rjust(width) for cell in row.split(" ")) for row in rows]
 
 
-def _cmd_scc(args) -> str:
+def _cmd_scc(args) -> list[str]:
     v = _resolve_vertices(args)
     n = int(v.size)
     if args.n is not None and args.n != n:
@@ -153,9 +143,8 @@ def _cmd_scc(args) -> str:
     system = build_system(c, 1, e, alpha=args.alpha, beta=args.beta)
     report = verify_scc(system, v)
 
-    vec = lambda x: " ".join(_fmt(t) for t in x)
-    lines = _meta(args.seed)
-    lines += [
+    vec = lambda x: " ".join(map(_fmt, x.tolist()))
+    return [
         "self-consistency report",
         f"  n_vertices              {n}",
         f"  degree                  1",
@@ -165,15 +154,12 @@ def _cmd_scc(args) -> str:
         f"  vertex values           {vec(v)}",
         f"  link values             {vec(e)}",
         f"  source J                {vec(system.J)}",
-    ]
-    lines += _matrix_block("  operator K", system.K)
-    lines += [
+        *_matrix_block("  operator K", system.K),
         f"  identity max residual   {_fmt(report.max_identity_residual)}",
         f"  source sum              {_fmt(report.source_sum)}",
         f"  constant-mode residual  {_fmt(report.max_constant_mode_residual)}",
         "  verdict                 PASS",
     ]
-    return "\n".join(lines) + "\n"
 
 
 def _resolve_source(args):
@@ -192,7 +178,7 @@ def _resolve_source(args):
     return n, e
 
 
-def _cmd_partition(args) -> str:
+def _cmd_partition(args) -> list[str]:
     n, e = _resolve_source(args)
     c = build_chain_complex(n)
     system = build_system(c, 1, e, alpha=args.alpha, beta=args.beta)
@@ -207,8 +193,7 @@ def _cmd_partition(args) -> str:
         )
         header += ",oracle_log_Z,abs_err"
         row += f",{_fmt(oracle.log_magnitude)},{_fmt(abs(oracle.log_magnitude - result.log_magnitude))}"
-    lines = _meta(args.seed) + [header, row]
-    return "\n".join(lines) + "\n"
+    return [header, row]
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -225,14 +210,13 @@ def _parse_range(text: str) -> np.ndarray:
 MAXIMUM_PHASE_TOL = 1e-9
 
 
-def _cmd_twinslit(args) -> str:
-    lines = _meta(args.seed)
-    lines.append(_TWINSLIT_HEADER)
-    for y in _parse_range(args.y_range):
+def _cmd_twinslit(args) -> list[str]:
+    lines = [_TWINSLIT_HEADER]
+    for y in _parse_range(args.y_range).tolist():
         geometry = SlitGeometry(
             slit_separation=args.d,
             screen_distance=args.L,
-            detector_position=float(y),
+            detector_position=y,
             wavelength=args.lam,
         )
         e_x, e_x_alt = geometry_to_links(geometry, args.n)
@@ -241,22 +225,29 @@ def _cmd_twinslit(args) -> str:
         )
         dphi = interference_phase_difference(config)
         if not math.isfinite(dphi):
-            raise ValueError(f"phase difference at y={_fmt(float(y))} is not finite")
+            raise ValueError(f"phase difference at y={_fmt(y)} is not finite")
         if math.ulp(dphi) > MAXIMUM_PHASE_TOL:
             raise ValueError(
-                f"phase difference at y={_fmt(float(y))} is {_fmt(dphi)} rad, too large to "
+                f"phase difference at y={_fmt(y)} is {_fmt(dphi)} rad, too large to "
                 f"resolve a maximum: its float spacing exceeds {_fmt(MAXIMUM_PHASE_TOL)}"
             )
         nearest = int(round(dphi / (2.0 * math.pi)))
         is_max = abs(dphi - 2.0 * math.pi * nearest) <= MAXIMUM_PHASE_TOL
         intensity = nrqm_intensity(path_difference(geometry), args.lam)
-        lines.append(
-            f"{_fmt(float(y))},{_fmt(dphi)},{nearest},{_fmt(is_max)},{_fmt(intensity)}"
-        )
-    return "\n".join(lines) + "\n"
+        lines.append(f"{_fmt(y)},{_fmt(dphi)},{nearest},{_fmt(is_max)},{_fmt(intensity)}")
+    return lines
 
 
-def _cmd_gauge_check(args) -> str:
+#: Row labels of the gauge-check table, in the column order of its residual rows.
+_GAUGE_CHECKS = (
+    "maxwell,gauge-annihilation",
+    "maxwell,transversality",
+    "fierz_pauli,gauge-annihilation",
+    "fierz_pauli,transversality",
+)
+
+
+def _cmd_gauge_check(args) -> list[str]:
     rng = np.random.default_rng(args.seed)
 
     def draw_momentum():
@@ -265,47 +256,29 @@ def _cmd_gauge_check(args) -> str:
             if abs(minkowski_square(k)) >= 0.1:
                 return k
 
-    worst = {
-        ("maxwell", "gauge-annihilation"): 0.0,
-        ("maxwell", "transversality"): 0.0,
-        ("fierz_pauli", "gauge-annihilation"): 0.0,
-        ("fierz_pauli", "transversality"): 0.0,
-    }
+    residuals = [[0.0] * len(_GAUGE_CHECKS)]  # one row per trial; --trials 0 reports zeros
     for _ in range(args.trials):
+        # draw order k, x, eps, H fixes the output for a seed
         k = draw_momentum()
-        knorm = float(np.linalg.norm(k))
-
-        M = maxwell_kernel(k)
-        worst["maxwell", "gauge-annihilation"] = max(
-            worst["maxwell", "gauge-annihilation"], null_residual(M, k)
-        )
         x = rng.normal(size=4)
-        div = float(k @ (M @ x))
-        scale = float(np.linalg.norm(M, 2)) * float(np.linalg.norm(x)) * knorm
-        worst["maxwell", "transversality"] = max(
-            worst["maxwell", "transversality"], abs(div) / scale
-        )
-
-        F = fierz_pauli_kernel(k)
         eps = rng.normal(size=4)
-        worst["fierz_pauli", "gauge-annihilation"] = max(
-            worst["fierz_pauli", "gauge-annihilation"],
-            null_residual(F, sym_to_vec(gauge_tensor(k, eps))),
-        )
         H = rng.normal(size=(4, 4))
         H = H + H.T
-        out = fierz_pauli_apply(k, H)
-        div_t = k @ out
-        scale = float(np.linalg.norm(F, 2)) * float(np.linalg.norm(H)) * knorm
-        worst["fierz_pauli", "transversality"] = max(
-            worst["fierz_pauli", "transversality"], float(np.linalg.norm(div_t)) / scale
-        )
-
-    lines = _meta(args.seed)
-    lines.append("kernel,property,max_residual")
-    for (kernel, prop), value in worst.items():
-        lines.append(f"{kernel},{prop},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+        knorm = float(np.linalg.norm(k))
+        M = maxwell_kernel(k)
+        F = fierz_pauli_kernel(k)
+        div = float(k @ (M @ x))
+        div_t = k @ fierz_pauli_apply(k, H)
+        residuals.append([
+            null_residual(M, k),
+            abs(div) / (float(np.linalg.norm(M, 2)) * float(np.linalg.norm(x)) * knorm),
+            null_residual(F, sym_to_vec(gauge_tensor(k, eps))),
+            float(np.linalg.norm(div_t)) / (float(np.linalg.norm(F, 2)) * float(np.linalg.norm(H)) * knorm),
+        ])
+    worst = np.max(residuals, axis=0).tolist()
+    return ["kernel,property,max_residual"] + [
+        f"{check},{_fmt(value)}" for check, value in zip(_GAUGE_CHECKS, worst)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +414,8 @@ def main(argv=None) -> int:
         parser.error("--gnuplot requires --output")
 
     try:
-        text = args.func(args)
+        lines = [f"# version={__version__}", f"# seed={args.seed}", *args.func(args)]
+        text = "\n".join(lines) + "\n"
         out = _resolve_output(args.output)
         if out is None:
             sys.stdout.write(text)

@@ -25,7 +25,8 @@ carries the opposite sign, an intrinsic feature of this operator, so no
 overall sign makes it positive-semidefinite.
 
 For lightlike k both null spaces enlarge; rank statements here assume
-k^2 != 0.
+k^2 != 0.  A kernel or output that would overflow the float range is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -69,6 +70,15 @@ def _kernel(kernel) -> np.ndarray:
     return kernel
 
 
+def _finite(what: str, build):
+    """``build()`` with float overflow silenced; ValueError unless every entry is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = build()
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} is not finite: the inputs overflow the float range")
+    return out
+
+
 def minkowski_square(k) -> float:
     """k^2 = k.eta.k for an upper-index four-vector."""
     k = _four_vector(k)
@@ -82,13 +92,17 @@ def lower_index(k) -> np.ndarray:
 def maxwell_kernel(k) -> np.ndarray:
     """Covariant matrix -k^2 eta + k (x) k (both indices lowered)."""
     k_lo = lower_index(k)
-    return -minkowski_square(k) * MINKOWSKI + np.outer(k_lo, k_lo)
+    return _finite("Maxwell kernel", lambda: -minkowski_square(k) * MINKOWSKI + np.outer(k_lo, k_lo))
 
 
 def fierz_pauli_apply(k, h) -> np.ndarray:
     """Apply the weak-field kinetic operator to a symmetric tensor h_ab or a stack h[..., a, b]."""
-    k = _four_vector(k)
-    h = check_symmetric(_tensors(h))
+    k, h = _four_vector(k), check_symmetric(_tensors(h))
+    return _finite("Fierz-Pauli output", lambda: _fierz_pauli(k, h))
+
+
+def _fierz_pauli(k: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """fierz_pauli_apply for a checked four-vector and checked symmetric tensors."""
     k_lo = MINKOWSKI @ k
     k2 = float(k @ k_lo)
     # eta inverse has the same entries
@@ -134,7 +148,9 @@ def fierz_pauli_kernel(k) -> np.ndarray:
     Built row-major (C-contiguous): products with it then take the same BLAS
     path, and round the same way, on every call.
     """
-    return np.einsum("pab,qab->pq", SYMMETRIC_BASIS, fierz_pauli_apply(k, SYMMETRIC_BASIS))
+    k = _four_vector(k)
+    kernel = lambda: np.einsum("pab,qab->pq", SYMMETRIC_BASIS, _fierz_pauli(k, SYMMETRIC_BASIS))
+    return _finite("Fierz-Pauli kernel", kernel)
 
 
 def gauge_tensor(k, eps) -> np.ndarray:

@@ -24,12 +24,13 @@ picks up a second null direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
-from .chain_complex import _exact_route, _frozen, check_coupling, check_n, check_symmetric
+from .chain_complex import _frozen, check_coupling, check_n, check_symmetric
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -69,7 +70,7 @@ class _LazyFields:
     degeneracy_groups = _BuiltOnFirstRead()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum(_LazyFields):
     """Eigenvalues (ascending), eigenvectors (columns), and bookkeeping.
 
@@ -82,13 +83,14 @@ class Spectrum(_LazyFields):
     ``eigenvectors`` and ``degeneracy_groups`` each take a value or a
     zero-argument builder; a builder runs on the first read and its result
     is kept, so a caller that reads only eigenvalues never pays for them.
+    ``repr`` leaves both out, and ``==`` is identity, so neither builds them.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray = field(repr=False)
     parity: tuple[str | None, ...]
     zero_modes: tuple[int, ...]
-    degeneracy_groups: tuple[tuple[int, ...], ...]
+    degeneracy_groups: tuple[tuple[int, ...], ...] = field(repr=False)
     beta: float = 1.0
     regime: str = "euclidean"
 
@@ -219,7 +221,7 @@ def lorentzian_operator(K: np.ndarray, beta: float = 1) -> np.ndarray:
     K = np.asarray(K)
     n = K.shape[0]
     shift = 2 * (np.eye(n, dtype=np.int64) - parity_swap_matrix(n).astype(np.int64))
-    exact = _exact_route(check_coupling(beta), shift) and np.issubdtype(K.dtype, np.integer)
+    exact = isinstance(check_coupling(beta), Integral) and np.issubdtype(K.dtype, np.integer)
     # entries of K_M are at most max|K| + 2|beta| in magnitude
     if exact and max(int(K.max(initial=0)), -int(K.min(initial=0))) + 2 * abs(int(beta)) >= 2**63:
         raise ValueError(f"integer arithmetic would overflow int64: max|K| + 2 * |{beta}| >= 2**63")
@@ -242,13 +244,13 @@ def numeric_spectrum(K) -> Spectrum:
 
     parity: list[str | None] = [None] * n
     if n >= 4 and n % 2 == 0:
-        swap = parity_swap_matrix(n)
-        if np.allclose(swap @ K @ swap, K, rtol=0.0, atol=1e-12 * max(np.max(np.abs(K)), 1.0)):
+        swap = np.roll(np.arange(n), n // 2)  # the rail swap by index: row i of swap @ K is K[swap[i]]
+        if np.allclose(K[swap][:, swap], K, rtol=0.0, atol=1e-12 * max(np.max(np.abs(K)), 1.0)):
             for idx in _degeneracy_groups(vals):
                 V = vecs[:, idx]
                 # The swap restricted to an eigenspace is an involution;
                 # its +-1 eigenvectors are the definite-parity modes.
-                w, R = np.linalg.eigh(V.T @ swap @ V)
+                w, R = np.linalg.eigh(np.ascontiguousarray(V[swap].T) @ V)
                 vecs[:, idx] = V @ R
                 for pos, wi in zip(idx, w):
                     if abs(wi - 1.0) < 1e-6:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_complex import build_chain_complex, check_n
+from .chain_complex import build_chain_complex, check_coupling, check_n
 from .errors import GaugeObstruction, RowSpaceError
 from .partition import _row_space_projection
 from .scc import build_source
@@ -134,12 +134,14 @@ class TwinSlitConfig:
 
 
 def split_links(link_values, n_vertices: int):
-    """(left rail, right rail, rungs) views of a rail-major link vector."""
+    """(left rail, right rail, rungs) views of a rail-major link vector of finite values."""
     n = check_n(n_vertices)
     e = np.asarray(link_values, dtype=float)
     half = n // 2
     if e.shape != (3 * half - 2,):
         raise ValueError(f"link vector has shape {e.shape}, expected ({3 * half - 2},)")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("link values must be finite")
     return e[: half - 1], e[half - 1 : n - 2], e[n - 2 :]
 
 
@@ -152,12 +154,21 @@ def uniform_link_values(n_vertices: int, e_x: float, e_T: float) -> np.ndarray:
     return e
 
 
+def _check_divisors(hbar, beta) -> None:
+    """ValueError unless hbar and beta, which the phase divides by, are finite and nonzero."""
+    for name, value in (("hbar", hbar), ("beta", beta)):
+        if check_coupling(value, name) == 0:
+            raise ValueError(f"coupling {name} must be nonzero, got {value!r}")
+
+
 def phase_exponent(projections, eigenvalues, hbar: float, beta: float) -> float:
     """Phi = sum Jt^2 / (2 a hbar beta) over the supplied nonzero modes.
 
     ``eigenvalues`` are unit-coupling values (divide a Spectrum's
-    eigenvalues by its beta before passing them in).
+    eigenvalues by its beta before passing them in).  hbar and beta must be
+    finite and nonzero.
     """
+    _check_divisors(hbar, beta)
     jt = np.asarray(projections, dtype=float)
     a = np.asarray(eigenvalues, dtype=float)
     if jt.shape != a.shape:
@@ -181,10 +192,13 @@ def phase_decomposition(
     numerator exceeds ``OBSTRUCTION_RTOL`` times N max(1, max |link|),
     the phase does not exist and GaugeObstruction is raised; a numerator
     within that bound is treated as the row-space restriction at work
-    and its term is dropped.
+    and its term is dropped.  alpha must be finite, hbar and beta finite
+    and nonzero, and the link values finite.
     """
     if regime not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"unknown regime {regime!r}")
+    check_coupling(alpha, "alpha")
+    _check_divisors(hbar, beta)
     n = check_n(n_vertices)
     half = n // 2
     e_left, e_right, e_spatial = split_links(link_values, n)

@@ -429,3 +429,146 @@ def test_twinslit_still_sweeps_phases_whose_ulp_resolves_a_maximum():
     assert (rc, err) == (0, "")
     assert body(out)[1:] == ["-1,6283103.6275,999987,false,3.99999729777",
                              "1,-6283103.6275,-999987,false,3.99999729777"]
+
+
+# ---------------------------------------------------------------------------
+# byte pins: the output of the earlier per-entry formatting and running maxima
+
+
+def _reference_fmt(x):
+    """The formatting that took numpy scalars one at a time."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".12g")
+
+
+def _with_header(seed, lines):
+    from ladderfield import __version__
+
+    return "\n".join([f"# version={__version__}", f"# seed={seed}", *lines]) + "\n"
+
+
+def _reference_gauge_check(trials, seed):
+    """gauge-check with one running maximum per residual, updated in place."""
+    from ladderfield.gauge_continuum import (
+        fierz_pauli_apply, fierz_pauli_kernel, gauge_tensor, maxwell_kernel,
+        minkowski_square, null_residual, sym_to_vec,
+    )
+
+    rng = np.random.default_rng(seed)
+
+    def draw_momentum():
+        while True:
+            k = rng.uniform(-10.0, 10.0, size=4)
+            if abs(minkowski_square(k)) >= 0.1:
+                return k
+
+    worst = {
+        ("maxwell", "gauge-annihilation"): 0.0,
+        ("maxwell", "transversality"): 0.0,
+        ("fierz_pauli", "gauge-annihilation"): 0.0,
+        ("fierz_pauli", "transversality"): 0.0,
+    }
+    for _ in range(trials):
+        k = draw_momentum()
+        knorm = float(np.linalg.norm(k))
+        M = maxwell_kernel(k)
+        worst["maxwell", "gauge-annihilation"] = max(
+            worst["maxwell", "gauge-annihilation"], null_residual(M, k)
+        )
+        x = rng.normal(size=4)
+        div = float(k @ (M @ x))
+        scale = float(np.linalg.norm(M, 2)) * float(np.linalg.norm(x)) * knorm
+        worst["maxwell", "transversality"] = max(worst["maxwell", "transversality"], abs(div) / scale)
+        F = fierz_pauli_kernel(k)
+        eps = rng.normal(size=4)
+        worst["fierz_pauli", "gauge-annihilation"] = max(
+            worst["fierz_pauli", "gauge-annihilation"],
+            null_residual(F, sym_to_vec(gauge_tensor(k, eps))),
+        )
+        H = rng.normal(size=(4, 4))
+        H = H + H.T
+        div_t = k @ fierz_pauli_apply(k, H)
+        scale = float(np.linalg.norm(F, 2)) * float(np.linalg.norm(H)) * knorm
+        worst["fierz_pauli", "transversality"] = max(
+            worst["fierz_pauli", "transversality"], float(np.linalg.norm(div_t)) / scale
+        )
+    lines = ["kernel,property,max_residual"]
+    lines += [f"{kernel},{prop},{_reference_fmt(value)}" for (kernel, prop), value in worst.items()]
+    return _with_header(seed, lines)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("trials", [0, 1, 20, 36])
+def test_gauge_check_bytes_match_the_running_maximum_reference(trials, seed):
+    assert run("gauge-check", "--trials", str(trials), "--seed", str(seed)) == (
+        0, _reference_gauge_check(trials, seed), ""
+    )
+
+
+def _reference_spectrum(n, beta, lorentzian):
+    from ladderfield.spectral import continue_to_lorentzian, ladder_spectrum_closed_form
+
+    spectrum = ladder_spectrum_closed_form(n, beta=beta)
+    if lorentzian:
+        spectrum = continue_to_lorentzian(spectrum, n)
+    zero = set(spectrum.zero_modes)
+    lines = ["index,eigenvalue,parity,is_zero_mode"]
+    for i in range(spectrum.n_modes):
+        value, parity = spectrum.eigenvalues[i], spectrum.parity[i] or ""
+        lines.append(f"{i},{_reference_fmt(value)},{parity},{_reference_fmt(i in zero)}")
+    return _with_header(0, lines)
+
+
+@pytest.mark.parametrize(
+    "flags, beta, lorentzian", [(("--beta", "-1.5"), -1.5, False), (("--beta", "2", "--lorentzian"), 2, True)]
+)
+@pytest.mark.parametrize("n", [130, 2048])
+def test_spectrum_bytes_match_the_per_entry_reference(n, flags, beta, lorentzian):
+    assert run("spectrum", "--n", str(n), *flags) == (0, _reference_spectrum(n, beta, lorentzian), "")
+
+
+def _reference_scc(v, seed, alpha, beta):
+    from ladderfield.chain_complex import build_chain_complex
+    from ladderfield.scc import build_system, gradient_link_values, verify_scc
+
+    n = v.size
+    c = build_chain_complex(n)
+    e = gradient_link_values(c, v)
+    system = build_system(c, 1, e, alpha=alpha, beta=beta)
+    report = verify_scc(system, v)
+    vec = lambda x: " ".join(_reference_fmt(t) for t in x)
+    cells = [[_reference_fmt(t) for t in row] for row in system.K]
+    width = max(len(cell) for row in cells for cell in row)
+    lines = [
+        "self-consistency report",
+        f"  n_vertices              {n}",
+        "  degree                  1",
+        f"  alpha                   {_reference_fmt(alpha)}",
+        f"  beta                    {_reference_fmt(beta)}",
+        f"  arithmetic              {'exact' if report.exact else 'float'}",
+        f"  vertex values           {vec(v)}",
+        f"  link values             {vec(e)}",
+        f"  source J                {vec(system.J)}",
+        "  operator K",
+        *("      " + " ".join(cell.rjust(width) for cell in row) for row in cells),
+        f"  identity max residual   {_reference_fmt(report.max_identity_residual)}",
+        f"  source sum              {_reference_fmt(report.source_sum)}",
+        f"  constant-mode residual  {_reference_fmt(report.max_constant_mode_residual)}",
+        "  verdict                 PASS",
+    ]
+    return _with_header(seed, lines)
+
+
+@pytest.mark.parametrize("n", [64, 130, None], ids=["64", "130", "preset"])
+def test_scc_bytes_match_the_per_entry_reference(n):
+    from ladderfield.cli import PRESET_VERTICES
+
+    if n is None:
+        argv, seed, v = ("--from-vertices", "preset:twin6"), 0, PRESET_VERTICES["twin6"]
+    else:
+        argv, seed, v = ("--n", str(n), "--seed", "3"), 3, np.random.default_rng(3).integers(-9, 10, size=n)
+    want = _reference_scc(v, seed, 0.5, 2.5)
+    assert run("scc", *argv, "--alpha", "0.5", "--beta", "2.5") == (0, want, "")

@@ -47,6 +47,7 @@ from ladderfield.twinslit import (
     geometry_to_links,
     interference_phase_difference,
     phase_decomposition,
+    phase_exponent,
     split_links,
     trig_lemmas,
     uniform_link_values,
@@ -164,6 +165,8 @@ COUPLING_ENTRY_POINTS = {
     "build_system": lambda beta: build_system(build_chain_complex(4), 1, np.zeros(4), beta=beta),
     "ladder_spectrum_closed_form": lambda beta: ladder_spectrum_closed_form(6, beta=beta),
     "lorentzian_operator": lambda beta: lorentzian_operator(np.zeros((6, 6), dtype=np.int64), beta),
+    "phase_decomposition": lambda beta: phase_decomposition(np.ones(7), 6, 1.0, 1.0, beta),
+    "phase_exponent": lambda beta: phase_exponent([1.0], [1.0], 1.0, beta),
 }
 
 
@@ -174,6 +177,46 @@ def test_every_entry_point_refuses_a_non_finite_coupling(entry, beta):
     message = f"coupling beta must be finite, got {beta!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         COUPLING_ENTRY_POINTS[entry](beta)
+
+
+PHASE_COUPLINGS = {
+    "phase_decomposition": lambda alpha=1.0, hbar=1.0, beta=1.0: phase_decomposition(
+        np.ones(7), 6, alpha, hbar, beta
+    ),
+    "phase_exponent": lambda hbar=1.0, beta=1.0: phase_exponent([1.0], [1.0], hbar, beta),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [("phase_decomposition", "alpha"), ("phase_decomposition", "hbar"), ("phase_exponent", "hbar")],
+)
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_phase_functions_name_the_non_finite_coupling(entry, name, value):
+    message = f"coupling {name} must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PHASE_COUPLINGS[entry](**{name: value})
+
+
+@pytest.mark.parametrize("name", ["hbar", "beta"])
+@pytest.mark.parametrize("value", [0, 0.0, -0.0])
+@pytest.mark.parametrize("entry", sorted(PHASE_COUPLINGS))
+def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
+    message = f"coupling {name} must be nonzero, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PHASE_COUPLINGS[entry](**{name: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry", [split_links, lambda e, n: phase_decomposition(e, n, 1.0, 1.0, 1.0)],
+    ids=["split_links", "phase_decomposition"],
+)
+def test_link_values_must_be_finite(entry, bad):
+    e = np.ones(7)
+    e[3] = bad
+    with pytest.raises(ValueError, match="^link values must be finite$"):
+        entry(e, 6)
 
 
 @pytest.mark.parametrize("lambda_hat", [float("inf"), float("nan"), 1e-200, 1e-154, 1e155, 1e200])
@@ -228,6 +271,27 @@ def test_every_momentum_entry_point_refuses_a_bad_four_vector_the_same_way(entry
     # RuntimeWarning is an error in this suite, so a numpy warning on the way fails too
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MOMENTUM_ENTRY_POINTS[entry](np.array(k, dtype=float))
+
+
+_HUGE = np.array([1.0, 0.2, -0.3, 0.5]) * 1e200
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: maxwell_kernel(_HUGE), "Maxwell kernel"),
+        (lambda: fierz_pauli_kernel(_HUGE), "Fierz-Pauli kernel"),
+        (lambda: fierz_pauli_apply(_HUGE, np.eye(4) * 1e200), "Fierz-Pauli output"),
+        (lambda: fierz_pauli_apply(_K, np.eye(4) * 1e308), "Fierz-Pauli output"),
+        (lambda: fierz_pauli_apply(_HUGE, np.ones((3, 4, 4))), "Fierz-Pauli output"),
+    ],
+    ids=["maxwell_kernel", "fierz_pauli_kernel", "fierz_pauli_apply", "apply_large_h", "apply_stack"],
+)
+def test_gauge_kernels_refuse_a_result_past_the_float_range(call, what):
+    # finite inputs whose products overflow: a refusal, with no numpy warning on the way
+    message = f"{what} is not finite: the inputs overflow the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_gauge_tensor_refuses_a_bad_gauge_parameter():

@@ -370,6 +370,18 @@ def test_a_lazy_field_is_built_once_and_stays_read_only():
         s.eigenvectors = vecs
 
 
+def test_repr_and_equality_leave_the_lazy_fields_unbuilt():
+    s = continue_to_lorentzian(ladder_spectrum_closed_form(4096, beta=2), 4096)
+    other = ladder_spectrum_closed_form(4096, beta=2)
+    text = repr(s)
+    assert "eigenvectors" not in text and "degeneracy_groups" not in text
+    # equality is identity: a field-by-field == of arrays has no truth value
+    assert s == s and s != other and other != s
+    for spectrum in (s, other):
+        assert callable(vars(spectrum)["eigenvectors"])
+        assert callable(vars(spectrum)["degeneracy_groups"])
+
+
 def _same_fields(a, b):
     assert_array_equal(a.eigenvalues, b.eigenvalues)
     assert_array_equal(a.eigenvectors, b.eigenvectors)
@@ -450,6 +462,13 @@ def test_numeric_spectrum_and_null_basis_are_bitwise_the_loop_references(name):
         assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [*range(4, 60, 2), 128])
+def test_rail_swap_by_index_is_bitwise_the_permutation_products(n):
+    # _reference_numeric applies the swap as a dense permutation matrix
+    for K in (dense_operator(n), lorentzian_operator(dense_operator(n, 1.7), 1.7)):
+        _assert_spectrum_is(numeric_spectrum(K), _reference_numeric(K))
+
+
 # ---------------------------------------------------------------------------
 # the Lorentzian operator follows the one int64 rule
 
@@ -483,3 +502,12 @@ def test_lorentzian_operator_dtype_follows_the_coupling_type():
     assert KM.dtype == np.float64
     assert_array_equal(KM, lorentzian_operator(K))
     assert lorentzian_operator(K.astype(float), 1).dtype == np.float64
+
+
+def test_a_float_operator_takes_an_integer_coupling_past_the_int64_range():
+    # only the exact route has an int64 bound; a float K is shifted in float64
+    K = dense_operator(6)
+    KM = lorentzian_operator(K, 2**62)
+    shift = 2.0 * (np.eye(6) - parity_swap_matrix(6))
+    assert KM.dtype == np.float64
+    assert_array_equal(KM, K - 2.0**62 * shift)
