@@ -18,16 +18,20 @@ A plaquette's boundary walks rung i, then right rail i, then rung i+1
 reversed, then left rail i reversed, so the two rails enter with
 opposite signs and the boundary-of-boundary composition cancels exactly.
 
-Numbering and walks are written once, as index arrays; one signed-incidence
-filler turns them into the integer boundary matrices, vertices x links for
-degree 1 and links x plaquettes for degree 2.  Arrays handed out are read-only.
+Numbering and walks are written once, as index arrays.  A boundary matrix
+(vertices x links for degree 1, links x plaquettes for degree 2) is kept as
+its nonzero (row, column, value) triplets: two per link column of d1, four
+per plaquette column of d2.  Operators, sources, gradients and validation
+read the triplets; the dense int64 d1 and d2 are built only when first read.
+A ChainComplex given dense matrices derives its triplets once, on
+construction.  Arrays handed out are read-only, pickled and copied ones too.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -39,6 +43,59 @@ SPATIAL = "spatial"
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+class _BuiltOnFirstRead:
+    """A field given either its value or a zero-argument builder of it.
+
+    A builder runs on the field's first read, once; its result replaces it
+    in the instance ``__dict__``, where pickle and deepcopy find either.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError(self.name)  # so the dataclass field has no default
+        value = instance.__dict__[self.name]
+        if callable(value):
+            value = instance.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, instance, value):
+        instance.__dict__[self.name] = value
+
+
+class _ReadOnlyState:
+    """Base of the frozen dataclasses that hold arrays.
+
+    Pickle and deepcopy restore an instance through ``__setstate__``, which
+    makes its arrays read-only again: unpickled and copied arrays come back
+    writeable otherwise.
+    """
+
+    def __setstate__(self, state):
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                _frozen(value)
+        self.__dict__.update(state)
+
+
+def _finite(what: str, build):
+    """``build()`` with float overflow silenced; ValueError unless every entry is finite.
+
+    A Python float that overflows, or is divided by a product that underflowed
+    to zero, raises rather than giving inf; that is refused the same way.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = build()
+    except (OverflowError, ZeroDivisionError):
+        out = np.inf
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} is not finite: the inputs overflow the float range")
+    return out
 
 
 def check_n(n_vertices) -> int:
@@ -73,16 +130,77 @@ def check_symmetric(a) -> np.ndarray:
     return a
 
 
-def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> bool:
+@dataclass(frozen=True, eq=False)
+class _Nonzeros(_ReadOnlyState):
+    """A matrix of the given shape held as its nonzero entries (row, column, value).
+
+    A ChainComplex's boundaries group their entries by column, in ascending
+    column order, so ``dot`` sums each row in ascending column order; ``T``
+    groups them by row.  Calling it builds the dense read-only matrix, so it
+    serves as the builder of a lazy dense field.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.vals):
+            _frozen(a)
+
+    @classmethod
+    def of(cls, matrix) -> "_Nonzeros":
+        """The nonzeros of a dense 2-D matrix (a _Nonzeros is returned as it is)."""
+        if isinstance(matrix, cls):
+            return matrix
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2:
+            raise ValueError(f"a boundary matrix must be 2-D, got shape {matrix.shape}")
+        cols, rows = np.nonzero(matrix.T)
+        return cls(matrix.shape, rows, cols, matrix[rows, cols])
+
+    def __call__(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=self.vals.dtype)
+        m[self.rows, self.cols] = self.vals
+        return _frozen(m)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.vals.dtype
+
+    @property
+    def T(self) -> "_Nonzeros":
+        """The transpose, sharing the entry arrays."""
+        return _Nonzeros(self.shape[::-1], self.cols, self.rows, self.vals)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times the vector ``x``, in the dtype ``matrix @ x`` has."""
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.vals, x))
+        np.add.at(out, self.rows, self.vals * x[self.cols])
+        return out
+
+
+def _max_row_l1(matrix: _Nonzeros | np.ndarray) -> int:
+    """The largest row L1 norm of an integer matrix, summed in uint64; a dense one is scanned whole."""
+    if isinstance(matrix, _Nonzeros):
+        sums = np.zeros(matrix.shape[0], dtype=np.uint64)
+        np.add.at(sums, matrix.rows, np.abs(matrix.vals).astype(np.uint64))
+    else:
+        sums = np.abs(matrix).sum(axis=1, dtype=np.uint64)
+    return int(sums.max(initial=0))
+
+
+def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | np.ndarray | None = None) -> bool:
     """Whether ``scalar * (matrix @ x)`` (or ``scalar * x``) runs in exact int64.
 
     It does for an Integral scalar and integer arrays; ValueError when
     |scalar| * max row-L1 of matrix * max|x| reaches 2**63, where int64 could wrap.
     """
     arrays = (x,) if matrix is None else (x, matrix)
-    if not isinstance(scalar, Integral) or not all(np.issubdtype(a.dtype, np.integer) for a in arrays):
+    if not isinstance(scalar, Integral) or not all(a.dtype.kind in "iu" for a in arrays):  # signed or unsigned
         return False
-    row_l1 = 1 if matrix is None else int(np.abs(matrix).sum(axis=1, dtype=np.uint64).max(initial=0))
+    row_l1 = 1 if matrix is None else _max_row_l1(matrix)
     max_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     if abs(int(scalar)) * max(row_l1 * max_x, 1) >= 2**63:
         raise ValueError(
@@ -92,20 +210,20 @@ def _exact_route(scalar, x: np.ndarray, matrix: np.ndarray | None = None) -> boo
     return True
 
 
-def _product_of_nonzeros(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as a dense array, summed over the pairs of nonzeros a[i, k], b[k, j].
+def _product_of_nonzeros(a: _Nonzeros, b: _Nonzeros, dtype) -> np.ndarray:
+    """a @ b as a dense ``dtype`` array, summed over the pairs of nonzeros a[i, k], b[k, j].
 
     The work grows with the number of such pairs, not with the cube of the
-    size; integer arrays give the same int64 integers as ``a @ b``.
+    size; an integer dtype gives the same integers as a dense ``a @ b``.
     """
-    ia, ka = np.nonzero(a)
-    kb, jb = np.nonzero(b)  # b's nonzeros grouped by row k
-    count = np.bincount(kb, minlength=b.shape[0])[ka]  # partners of each nonzero of a
+    by_row = np.argsort(b.rows, kind="stable")
+    kb, jb, vb = b.rows[by_row], b.cols[by_row], b.vals[by_row]
+    count = np.bincount(kb, minlength=b.shape[0])[a.cols]  # partners of each nonzero of a
     # pair each nonzero of a with the `count` nonzeros of b's row k, from the row's first on
-    first = np.repeat(np.arange(ka.size), count)
-    second = np.arange(first.size) + np.repeat(np.searchsorted(kb, ka) + count - np.cumsum(count), count)
-    m = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    np.add.at(m, (ia[first], jb[second]), a[ia, ka][first] * b[kb, jb][second])
+    first = np.repeat(np.arange(a.cols.size), count)
+    second = np.arange(first.size) + np.repeat(np.searchsorted(kb, a.cols) + count - np.cumsum(count), count)
+    m = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+    np.add.at(m, (a.rows[first], jb[second]), a.vals[first].astype(dtype) * vb[second])
     return m
 
 
@@ -159,15 +277,15 @@ def _rail_major(n: int) -> tuple[np.ndarray, np.ndarray]:
     heads = tails + np.repeat((1, half), (n - 2, half))  # a rail link steps along, a rung across
     # Face i is bounded by rung i, right-rail link i, rung i+1, left-rail
     # link i; the walk orientation puts minus signs on the last two.
-    walks = np.stack((n - 2 + rail, half - 1 + rail, -(n - 1 + rail), -rail), axis=1)
+    walks = (rail[:, None] + (n - 2, half - 1, n - 1, 0)) * (1, 1, -1, -1)
     return np.stack((tails, heads), axis=1), walks
 
 
-def _signed_incidence(n_rows: int, cells: np.ndarray) -> np.ndarray:
-    """Read-only int64 matrix; column j has sign(s) in row |s| for each s in cells[j] (1-based)."""
-    m = np.zeros((n_rows, cells.shape[0]), dtype=np.int64)
-    m[np.abs(cells) - 1, np.arange(cells.shape[0])[:, None]] = np.sign(cells)
-    return _frozen(m)
+def _signed_incidence(n_rows: int, cells: np.ndarray) -> _Nonzeros:
+    """Int64 nonzeros; column j has sign(s) in row |s| for each s in cells[j] (1-based)."""
+    n_cols, per_col = cells.shape
+    cols = np.repeat(np.arange(n_cols), per_col)
+    return _Nonzeros((n_rows, n_cols), np.abs(cells).ravel() - 1, cols, np.sign(cells).ravel())
 
 
 def build_ladder_graph(n_vertices: int) -> LadderGraph:
@@ -183,45 +301,72 @@ def build_ladder_graph(n_vertices: int) -> LadderGraph:
     return LadderGraph(n, links, tuple(map(tuple, walks.tolist())))
 
 
+def _ladder_boundaries(n: int) -> tuple[_Nonzeros, _Nonzeros]:
+    """The nonzeros of d1 (-1 at a link's tail, +1 at its head) and of d2 (the signed walks)."""
+    ends, walks = _rail_major(n)
+    return _signed_incidence(n, ends * (-1, 1)), _signed_incidence(ends.shape[0], walks)
+
+
 def boundary_1(graph: LadderGraph) -> np.ndarray:
     """Vertex-by-link incidence matrix: column = +1 at head, -1 at tail."""
-    return _signed_incidence(graph.n_vertices, _rail_major(graph.n_vertices)[0] * (-1, 1))
+    return _ladder_boundaries(graph.n_vertices)[0]()
 
 
 def boundary_2(graph: LadderGraph) -> np.ndarray:
     """Link-by-plaquette matrix of signed boundary walks."""
-    return _signed_incidence(graph.n_links, _rail_major(graph.n_vertices)[1])
+    return _ladder_boundaries(graph.n_vertices)[1]()
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Boundary pair (d1, d2) with d1 @ d2 == 0."""
+class _LazyBoundaries(_ReadOnlyState):
+    # declared on a private base, so vars(ChainComplex) lists no descriptor
+    d1 = _BuiltOnFirstRead()
+    d2 = _BuiltOnFirstRead()
 
-    d1: np.ndarray
-    d2: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class ChainComplex(_LazyBoundaries):
+    """Boundary pair (d1, d2) with d1 @ d2 == 0, held as their nonzeros.
+
+    ``nonzeros`` holds the (d1, d2) triplets, taken on construction from the
+    dense matrices a caller passes; every operator reads them.  The dense
+    ``d1`` and ``d2`` are built from them on first read and kept.  ``repr``
+    leaves both out, and ``==`` is identity, so neither builds them.
+    """
+
+    d1: np.ndarray = field(repr=False)
+    d2: np.ndarray = field(repr=False)
+    nonzeros: tuple[_Nonzeros, _Nonzeros] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d1, d2 = _Nonzeros.of(vars(self)["d1"]), _Nonzeros.of(vars(self)["d2"])
+        vars(self).update(d1=d1, d2=d2, nonzeros=(d1, d2))
 
     @classmethod
     def from_graph(cls, graph: LadderGraph) -> "ChainComplex":
-        return cls(boundary_1(graph), boundary_2(graph))
+        return cls(*_ladder_boundaries(graph.n_vertices))
+
+    def __repr__(self) -> str:
+        return (
+            f"ChainComplex(n_vertices={self.n_vertices}, n_links={self.n_links}, "
+            f"n_plaquettes={self.n_plaquettes})"
+        )
 
     @property
     def n_vertices(self) -> int:
-        return self.d1.shape[0]
+        return self.nonzeros[0].shape[0]
 
     @property
     def n_links(self) -> int:
-        return self.d1.shape[1]
+        return self.nonzeros[0].shape[1]
 
     @property
     def n_plaquettes(self) -> int:
-        return self.d2.shape[1]
+        return self.nonzeros[1].shape[1]
 
 
 def build_chain_complex(n_vertices: int) -> ChainComplex:
     """Ladder graph boundary operators for the given vertex count, from one set of index arrays."""
-    n = check_n(n_vertices)
-    ends, walks = _rail_major(n)
-    return ChainComplex(_signed_incidence(n, ends * (-1, 1)), _signed_incidence(ends.shape[0], walks))
+    return ChainComplex(*_ladder_boundaries(check_n(n_vertices)))
 
 
 @dataclass(frozen=True)
@@ -248,27 +393,29 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
     balance in sign, and the composition d1 @ d2 vanishes.  Shape
     mismatch between d1 and d2 is a hard error, not a failed check.
     """
-    if c.d1.shape[1] != c.d2.shape[0]:
+    d1, d2 = c.nonzeros
+    if d1.shape[1] != d2.shape[0]:
         raise ValueError(
-            f"shape mismatch: d1 is {c.d1.shape} but d2 is {c.d2.shape}; "
+            f"shape mismatch: d1 is {d1.shape} but d2 is {d2.shape}; "
             "link dimensions must agree"
         )
 
     checks = []
 
-    ones = np.sum(c.d1 == 1, axis=0)
-    minus = np.sum(c.d1 == -1, axis=0)
-    nonzero = np.count_nonzero(c.d1, axis=0)
+    n_links = d1.shape[1]
+    ones = np.bincount(d1.cols[d1.vals == 1], minlength=n_links)
+    minus = np.bincount(d1.cols[d1.vals == -1], minlength=n_links)
+    nonzero = np.bincount(d1.cols, minlength=n_links)
     ok = bool(np.all((ones == 1) & (minus == 1) & (nonzero == 2)))
     bad = "" if ok else f" (first bad column: {int(np.argmin((ones == 1) & (minus == 1) & (nonzero == 2))) + 1})"
     checks.append(ComplexCheck("link-endpoints", ok, f"each d1 column is one +1 and one -1{bad}"))
 
-    colsums = c.d1.sum(axis=0)
+    colsums = d1.T.dot(np.ones(d1.shape[0], dtype=np.int64))
     ok = bool(np.all(colsums == 0))
     checks.append(ComplexCheck("column-sums", ok, "d1 columns sum to zero"))
 
-    sides = np.count_nonzero(c.d2, axis=0)
-    balance = c.d2.sum(axis=0)
+    sides = np.bincount(d2.cols, minlength=d2.shape[1])
+    balance = d2.T.dot(np.ones(d2.shape[0], dtype=np.int64))
     degenerate = np.flatnonzero(sides == 0)
     if degenerate.size:
         detail = f"degenerate plaquette (column {int(degenerate[0]) + 1} has no sides)"
@@ -277,7 +424,7 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
         ok = bool(np.all(sides == 4) and np.all(balance == 0))
         checks.append(ComplexCheck("plaquette-sides", ok, "each d2 column has four sign-balanced sides"))
 
-    comp = _product_of_nonzeros(c.d1, c.d2)
+    comp = _product_of_nonzeros(d1, d2, np.result_type(d1.vals, d2.vals))
     ok = not np.any(comp)
     worst = int(np.max(np.abs(comp))) if comp.size else 0
     checks.append(ComplexCheck("boundary-of-boundary", ok, f"d1 @ d2 == 0 (max |entry| {worst})"))
@@ -347,4 +494,4 @@ def six_vertex_interleaved_complex() -> ChainComplex:
     """The N=6 boundary pair with links renumbered per the interleaved order."""
     c = build_chain_complex(6)
     order = np.argsort(INTERLEAVED_FROM_RAIL_MAJOR)  # rail-major index of each interleaved link
-    return ChainComplex(_frozen(c.d1[:, order]), _frozen(c.d2[order]))
+    return ChainComplex(c.d1[:, order], c.d2[order])

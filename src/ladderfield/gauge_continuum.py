@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain_complex import check_symmetric
+from .chain_complex import _finite, check_symmetric
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
@@ -70,19 +70,10 @@ def _kernel(kernel) -> np.ndarray:
     return kernel
 
 
-def _finite(what: str, build):
-    """``build()`` with float overflow silenced; ValueError unless every entry is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = build()
-    if not np.isfinite(out).all():
-        raise ValueError(f"{what} is not finite: the inputs overflow the float range")
-    return out
-
-
 def minkowski_square(k) -> float:
     """k^2 = k.eta.k for an upper-index four-vector."""
     k = _four_vector(k)
-    return float(k @ MINKOWSKI @ k)
+    return float(_finite("Minkowski square", lambda: k @ MINKOWSKI @ k))
 
 
 def lower_index(k) -> np.ndarray:
@@ -91,8 +82,9 @@ def lower_index(k) -> np.ndarray:
 
 def maxwell_kernel(k) -> np.ndarray:
     """Covariant matrix -k^2 eta + k (x) k (both indices lowered)."""
-    k_lo = lower_index(k)
-    return _finite("Maxwell kernel", lambda: -minkowski_square(k) * MINKOWSKI + np.outer(k_lo, k_lo))
+    k = _four_vector(k)
+    k_lo = MINKOWSKI @ k
+    return _finite("Maxwell kernel", lambda: -(k @ MINKOWSKI @ k) * MINKOWSKI + np.outer(k_lo, k_lo))
 
 
 def fierz_pauli_apply(k, h) -> np.ndarray:
@@ -157,7 +149,7 @@ def gauge_tensor(k, eps) -> np.ndarray:
     """The pure-gauge symmetric tensor k_a eps_b + k_b eps_a (lower indices)."""
     k_lo = lower_index(k)
     e_lo = MINKOWSKI @ _four_vector(eps, "gauge parameter")
-    return np.outer(k_lo, e_lo) + np.outer(e_lo, k_lo)
+    return _finite("gauge tensor", lambda: np.outer(k_lo, e_lo) + np.outer(e_lo, k_lo))
 
 
 def output_divergence(k, out) -> np.ndarray | float:
@@ -166,7 +158,7 @@ def output_divergence(k, out) -> np.ndarray | float:
     out = np.asarray(out, dtype=float)
     if out.shape[:1] != (4,):
         raise ValueError(f"expected an output whose first axis is 4, got shape {out.shape}")
-    div = np.tensordot(k, out, axes=1)  # the first axis, for an output of any rank
+    div = _finite("output divergence", lambda: np.tensordot(k, out, axes=1))  # the first axis, at any rank
     return float(div) if out.ndim == 1 else div
 
 
@@ -178,13 +170,13 @@ def null_residual(kernel, direction) -> float:
         raise ValueError(f"expected a direction of shape {kernel.shape[1:]}, got shape {direction.shape}")
     if not np.all(np.isfinite(direction)):
         raise ValueError("direction entries must be finite")
-    norm_dir = float(np.linalg.norm(direction))
+    norms = lambda: [np.linalg.norm(kernel @ direction), np.linalg.norm(kernel, 2), np.linalg.norm(direction)]
+    norm_image, norm_ker, norm_dir = map(float, _finite("null residual", norms))
     if norm_dir == 0.0:
         raise ValueError("direction must be nonzero")
-    norm_ker = float(np.linalg.norm(kernel, 2))
     if norm_ker == 0.0:
         return 0.0
-    return float(np.linalg.norm(kernel @ direction)) / (norm_ker * norm_dir)
+    return norm_image / (norm_ker * norm_dir)
 
 
 def null_space_dimension(kernel) -> int:

@@ -3,7 +3,8 @@
 Given a boundary operator d of degree n, the quadratic-form kernel
 K = beta * d @ d.T is summed over the nonzeros of d (each column adds
 their outer product), and a source built from cell values e is
-J = alpha * d @ e.  When e is itself the gradient of vertex values v
+J = alpha * d @ e, also summed over d's nonzeros.  Neither reads the
+dense d.  When e is itself the gradient of vertex values v
 (degree 1: e_link = v_head - v_tail), the pair satisfies the exact identity
 
     alpha * K @ v == beta * J
@@ -15,11 +16,21 @@ any J produced this way sums to zero (a divergence-free source).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .chain_complex import ChainComplex, _exact_route, _frozen, _product_of_nonzeros, check_coupling
+from .chain_complex import (
+    ChainComplex,
+    _BuiltOnFirstRead,
+    _exact_route,
+    _frozen,
+    _Nonzeros,
+    _product_of_nonzeros,
+    _ReadOnlyState,
+    check_coupling,
+)
 from .errors import SccViolation
 from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
 
@@ -27,20 +38,26 @@ from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
 SCC_RTOL = 1e-12
 
 
-def _select_boundary(c: ChainComplex, n: int) -> np.ndarray:
-    if n == 1:
-        return c.d1
-    if n == 2:
-        return c.d2
-    raise ValueError(f"unsupported chain degree {n}; expected 1 or 2")
+def _select_boundary(c: ChainComplex, n: int) -> _Nonzeros:
+    if n not in (1, 2):
+        raise ValueError(f"unsupported chain degree {n}; expected 1 or 2")
+    return c.nonzeros[n - 1]
+
+
+class _LazyBoundary(_ReadOnlyState):
+    # declared on a private base, so vars(SccSystem) lists no descriptor
+    boundary = _BuiltOnFirstRead()
 
 
 @dataclass(frozen=True)
-class SccSystem:
+class SccSystem(_LazyBoundary):
     """Operator K, source J, the couplings that built them, and the boundary used.
 
     alpha scales the source (units of momentum), beta the operator
     (momentum per length), hbar the action quantum used by phase code.
+    ``boundary`` takes the dense matrix or a zero-argument builder of it;
+    build_system passes a builder, run on the first read, that reads the
+    complex's own dense boundary.  ``repr`` and ``==`` leave it out.
     """
 
     n: int
@@ -49,7 +66,7 @@ class SccSystem:
     hbar: float
     K: np.ndarray
     J: np.ndarray
-    boundary: np.ndarray
+    boundary: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -59,8 +76,10 @@ class SccSystem:
 def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
     """K = beta * d_n @ d_n.T, summed over d_n's nonzeros.  Integer beta keeps the result exact."""
     d = _select_boundary(c, n)
-    scalar = int(beta) if _exact_route(check_coupling(beta), d.T, d) else float(beta)
-    return _frozen(scalar * _product_of_nonzeros(d, d.T))
+    exact = _exact_route(check_coupling(beta), d.vals, d)
+    K = _product_of_nonzeros(d, d.T, np.int64 if exact else float)
+    K *= int(beta) if exact else float(beta)  # in place: K is the one N x N array built
+    return _frozen(K)
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
@@ -74,9 +93,9 @@ def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarr
     if not np.all(np.isfinite(e)):
         raise ValueError("cell values must be finite")
     if _exact_route(alpha, e, d):
-        return _frozen(int(alpha) * (d @ e))
+        return _frozen(int(alpha) * d.dot(e))
     with np.errstate(over="ignore", invalid="ignore"):
-        J = float(alpha) * (d @ e.astype(float))
+        J = float(alpha) * d.dot(e.astype(float))
     if not np.all(np.isfinite(J)):
         raise ValueError(f"source alpha * d @ e is not finite for alpha={alpha!r}")
     return _frozen(J)
@@ -98,17 +117,18 @@ def build_system(
         hbar=hbar,
         K=build_operator(c, n, beta),
         J=build_source(c, n, cell_values, alpha),
-        boundary=_select_boundary(c, n),
+        boundary=partial(getattr, c, f"d{n}"),
     )
 
 
 def gradient_link_values(c: ChainComplex, vertex_values) -> np.ndarray:
     """e = d1.T @ v: each link gets head value minus tail value."""
+    d1_t = c.nonzeros[0].T
     v = np.asarray(vertex_values)
-    if v.shape != (c.d1.shape[0],):
-        raise ValueError(f"vertex values have shape {v.shape}, expected ({c.d1.shape[0]},)")
-    _exact_route(1, v, c.d1.T)  # raises where an integer gradient could wrap
-    return _frozen(c.d1.T @ v)
+    if v.shape != (d1_t.shape[1],):
+        raise ValueError(f"vertex values have shape {v.shape}, expected ({d1_t.shape[1]},)")
+    _exact_route(1, v, d1_t)  # raises where an integer gradient could wrap
+    return _frozen(d1_t.dot(v))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .chain_complex import _frozen, check_coupling, check_n, check_symmetric
+from .chain_complex import (
+    _BuiltOnFirstRead,
+    _frozen,
+    _ReadOnlyState,
+    check_coupling,
+    check_n,
+    check_symmetric,
+)
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -42,29 +49,7 @@ ZERO_MODE_RTOL = 1e-9
 DEGENERACY_RTOL = 1e-9
 
 
-class _BuiltOnFirstRead:
-    """A field given either its value or a zero-argument builder of it.
-
-    A builder runs on the field's first read, once; its result replaces it
-    in the instance ``__dict__``, where pickle and deepcopy find either.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            raise AttributeError(self.name)  # so the dataclass field has no default
-        value = instance.__dict__[self.name]
-        if callable(value):
-            value = instance.__dict__[self.name] = value()
-        return value
-
-    def __set__(self, instance, value):
-        instance.__dict__[self.name] = value
-
-
-class _LazyFields:
+class _LazyFields(_ReadOnlyState):
     # declared on a private base, so vars(Spectrum) lists no descriptor
     eigenvectors = _BuiltOnFirstRead()
     degeneracy_groups = _BuiltOnFirstRead()

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_complex import build_chain_complex, check_coupling, check_n
+from .chain_complex import _finite, build_chain_complex, check_coupling, check_n
 from .errors import GaugeObstruction, RowSpaceError
 from .partition import _row_space_projection
 from .scc import build_source
@@ -166,7 +166,7 @@ def phase_exponent(projections, eigenvalues, hbar: float, beta: float) -> float:
 
     ``eigenvalues`` are unit-coupling values (divide a Spectrum's
     eigenvalues by its beta before passing them in).  hbar and beta must be
-    finite and nonzero.
+    finite and nonzero; a phase past the float range is refused with ValueError.
     """
     _check_divisors(hbar, beta)
     jt = np.asarray(projections, dtype=float)
@@ -175,7 +175,7 @@ def phase_exponent(projections, eigenvalues, hbar: float, beta: float) -> float:
         raise ValueError(f"shape mismatch: {jt.shape} projections vs {a.shape} eigenvalues")
     if np.any(a == 0.0):
         raise ValueError("zero eigenvalue passed to phase_exponent; drop null modes first")
-    return float(np.sum(jt**2 / (2.0 * a * hbar * beta)))
+    return float(_finite("phase exponent", lambda: np.sum(jt**2 / (2.0 * a * hbar * beta))))
 
 
 def phase_decomposition(
@@ -193,7 +193,8 @@ def phase_decomposition(
     the phase does not exist and GaugeObstruction is raised; a numerator
     within that bound is treated as the row-space restriction at work
     and its term is dropped.  alpha must be finite, hbar and beta finite
-    and nonzero, and the link values finite.
+    and nonzero, and the link values finite; a phase past the float range
+    is refused with ValueError.
     """
     if regime not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"unknown regime {regime!r}")
@@ -203,42 +204,46 @@ def phase_decomposition(
     half = n // 2
     e_left, e_right, e_spatial = split_links(link_values, n)
 
-    sign = 1.0 if regime == EUCLIDEAN else -1.0
-    phi_spatial = sign * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
+    def terms():
+        sign = 1.0 if regime == EUCLIDEAN else -1.0
+        phi_spatial = sign * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
 
-    j = np.arange(1, half)
-    k = np.arange(1, half)
-    rungs = np.arange(1, half + 1)
-    # interior sine sums over the rails, one row per mode j
-    sines = np.sin(2.0 * np.pi * np.outer(j, k) / n)
-    t_sums = sines @ (e_left + e_right)
-    phi_temporal = (2.0 * alpha**2 / n) * float(np.sum(t_sums**2))
+        j = np.arange(1, half)
+        k = np.arange(1, half)
+        rungs = np.arange(1, half + 1)
+        # interior sine sums over the rails, one row per mode j
+        sines = np.sin(2.0 * np.pi * np.outer(j, k) / n)
+        t_sums = sines @ (e_left + e_right)
+        phi_temporal = (2.0 * alpha**2 / n) * float(np.sum(t_sums**2))
 
-    s_j = np.sin(j * np.pi / n)
-    rail_diff = sines @ (e_left - e_right)
-    rung_cos = np.cos(np.outer(j, 2 * rungs - 1) * np.pi / n) @ e_spatial
-    numerators = s_j * rail_diff + rung_cos
+        s_j = np.sin(j * np.pi / n)
+        rail_diff = sines @ (e_left - e_right)
+        rung_cos = np.cos(np.outer(j, 2 * rungs - 1) * np.pi / n) @ e_spatial
+        numerators = s_j * rail_diff + rung_cos
 
-    denom_offset = 1.0 if regime == EUCLIDEAN else -1.0
-    denominators = denom_offset + 2.0 * s_j**2
+        denom_offset = 1.0 if regime == EUCLIDEAN else -1.0
+        denominators = denom_offset + 2.0 * s_j**2
 
-    keep = np.ones(j.size, dtype=bool)
-    if regime == LORENTZIAN and n % 4 == 0:
-        singular = n // 4 - 1  # position of j = N/4 in the 1..N/2-1 range
-        scale = max(1.0, float(np.max(np.abs(np.asarray(link_values))))) * n
-        if abs(numerators[singular]) > OBSTRUCTION_RTOL * scale:
-            raise GaugeObstruction(
-                f"continued operator has a zero mode at j={n // 4} and the "
-                f"configuration excites it (numerator {numerators[singular]:.6e}); "
-                "the phase is undefined",
-                mode_index=n // 4,
-            )
-        keep[singular] = False
+        keep = np.ones(j.size, dtype=bool)
+        if regime == LORENTZIAN and n % 4 == 0:
+            singular = n // 4 - 1  # position of j = N/4 in the 1..N/2-1 range
+            scale = max(1.0, float(np.max(np.abs(np.asarray(link_values))))) * n
+            if abs(numerators[singular]) > OBSTRUCTION_RTOL * scale:
+                raise GaugeObstruction(
+                    f"continued operator has a zero mode at j={n // 4} and the "
+                    f"configuration excites it (numerator {numerators[singular]:.6e}); "
+                    "the phase is undefined",
+                    mode_index=n // 4,
+                )
+            keep[singular] = False
 
-    phi_mixed = float(
-        np.sum((4.0 * alpha**2 / n) * numerators[keep] ** 2 / denominators[keep])
-    )
-    total = (phi_spatial + phi_temporal + phi_mixed) / (2.0 * hbar * beta)
+        phi_mixed = float(
+            np.sum((4.0 * alpha**2 / n) * numerators[keep] ** 2 / denominators[keep])
+        )
+        total = (phi_spatial + phi_temporal + phi_mixed) / (2.0 * hbar * beta)
+        return phi_spatial, phi_temporal, phi_mixed, total
+
+    phi_spatial, phi_temporal, phi_mixed, total = _finite("phase decomposition", terms)
     return PhaseDecomposition(
         phi_spatial=phi_spatial,
         phi_temporal=phi_temporal,

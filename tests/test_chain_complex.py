@@ -1,5 +1,8 @@
 """Incidence structure of the ladder graph and the two boundary operators."""
 
+import copy
+import pickle
+import re
 import time
 
 import numpy as np
@@ -214,6 +217,51 @@ def test_arrays_are_read_only():
     c = build_chain_complex(8)
     with pytest.raises(ValueError):
         c.d1[0, 0] = 5
+
+
+def test_a_caller_built_complex_keeps_no_reference_to_its_matrices():
+    c = build_chain_complex(6)
+    d1, d2 = c.d1.copy(), c.d2.copy()
+    caller_built = ChainComplex(d1, d2)
+    d1[0, 0] = 7  # the triplets were taken on construction
+    assert_array_equal(caller_built.d1, c.d1)
+    assert not caller_built.d1.flags.writeable and caller_built.d2.dtype == np.int64
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+def test_a_boundary_must_be_a_matrix(shape):
+    with pytest.raises(ValueError, match=re.escape(f"a boundary matrix must be 2-D, got shape {shape}")):
+        ChainComplex(np.zeros(shape, dtype=np.int64), np.zeros((0, 0), dtype=np.int64))
+
+
+def test_repr_and_equality_leave_the_dense_boundaries_unbuilt():
+    c, other = build_chain_complex(4096), build_chain_complex(4096)
+    assert repr(c) == "ChainComplex(n_vertices=4096, n_links=6142, n_plaquettes=2047)"
+    # equality is identity: a field-by-field == of arrays has no truth value
+    assert c == c and c != other
+    for complex_ in (c, other):
+        assert callable(vars(complex_)["d1"]) and callable(vars(complex_)["d2"])
+
+
+def _read_only_arrays(c):
+    arrays = [c.d1, c.d2] + [a for nz in c.nonzeros for a in (nz.rows, nz.cols, nz.vals)]
+    return all(not a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize(
+    "copy_of", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_round_trip_read_only_before_and_after_the_first_read(copy_of, read_first):
+    for c in (build_chain_complex(8), six_vertex_interleaved_complex()):
+        if read_first:
+            c.d1, c.d2
+        copied = copy_of(c)
+        assert callable(vars(copied)["d1"]) is not read_first
+        assert _read_only_arrays(copied)
+        assert_array_equal(copied.d1, c.d1)
+        assert_array_equal(copied.d2, c.d2)
+        assert validate_complex(copied).passed
 
 
 @pytest.mark.parametrize("n", [4, 6, 10, 34])

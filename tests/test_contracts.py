@@ -207,6 +207,25 @@ def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
         PHASE_COUPLINGS[entry](**{name: value})
 
 
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: phase_decomposition(np.ones(7) * 1e200, 6, 1.0, 1.0, 1.0), "phase decomposition"),
+        (lambda: phase_decomposition(np.ones(7), 6, 1e200, 1.0, 1.0), "phase decomposition"),
+        (lambda: phase_decomposition(np.ones(7), 6, 1.0, 1e-320, 1e-10), "phase decomposition"),
+        (lambda: phase_exponent([1e200], [1.0], 1.0, 1.0), "phase exponent"),
+        (lambda: phase_exponent([1.0], [1.0], 1e-320, 1e-10), "phase exponent"),
+    ],
+    ids=["large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow"],
+)
+def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
+    # finite inputs whose phase overflows, or whose nonzero hbar * beta underflows
+    # to zero: a refusal, with neither a numpy warning nor a bare OverflowError
+    message = f"{what} is not finite: the inputs overflow the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "entry", [split_links, lambda e, n: phase_decomposition(e, n, 1.0, 1.0, 1.0)],
@@ -284,8 +303,16 @@ _HUGE = np.array([1.0, 0.2, -0.3, 0.5]) * 1e200
         (lambda: fierz_pauli_apply(_HUGE, np.eye(4) * 1e200), "Fierz-Pauli output"),
         (lambda: fierz_pauli_apply(_K, np.eye(4) * 1e308), "Fierz-Pauli output"),
         (lambda: fierz_pauli_apply(_HUGE, np.ones((3, 4, 4))), "Fierz-Pauli output"),
+        (lambda: minkowski_square(_HUGE), "Minkowski square"),
+        (lambda: gauge_tensor(_HUGE, _HUGE), "gauge tensor"),
+        (lambda: output_divergence(_HUGE, np.eye(4) * 1e200), "output divergence"),
+        (lambda: null_residual(np.eye(4) * 1e300, np.ones(4) * 1e300), "null residual"),
+        (lambda: null_residual(np.diag([0.0, 0, 0, 1]), np.ones(4) * 1e300), "null residual"),
     ],
-    ids=["maxwell_kernel", "fierz_pauli_kernel", "fierz_pauli_apply", "apply_large_h", "apply_stack"],
+    ids=[
+        "maxwell_kernel", "fierz_pauli_kernel", "fierz_pauli_apply", "apply_large_h", "apply_stack",
+        "minkowski_square", "gauge_tensor", "output_divergence", "null_residual", "residual_large_direction",
+    ],
 )
 def test_gauge_kernels_refuse_a_result_past_the_float_range(call, what):
     # finite inputs whose products overflow: a refusal, with no numpy warning on the way

@@ -6,6 +6,8 @@ are built by different code paths, so the tests below lean on integer inputs
 to demand bit-exact agreement where the contract promises it.
 """
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -19,6 +21,7 @@ from ladderfield.chain_complex import (
     ChainComplex,
     build_chain_complex,
     six_vertex_interleaved_complex,
+    validate_complex,
 )
 from ladderfield.errors import SccViolation
 from ladderfield.scc import (
@@ -272,30 +275,120 @@ def test_coupled_oscillator_form():
 
 
 # ---------------------------------------------------------------------------
-# K against the dense Gram d @ d.T, which lives here only, as the oracle
+# every route against the dense boundaries, which live here only, as the oracle
+
+COUPLINGS = (1, 3, -2, 1.7, -0.3)
 
 
-def assert_operator_is_dense_gram(c, degree, d):
-    gram = d @ d.T
-    for beta in (1, 3, -2, 1.7, -0.3):
-        K = build_operator(c, degree, beta)
-        expected = beta * gram
-        assert K.dtype == expected.dtype and not K.flags.writeable
-        # bitwise, so signed zeros and the float rounding must agree too
-        assert K.shape == expected.shape and K.tobytes() == expected.tobytes()
+def assert_bitwise(got, expected):
+    assert got.dtype == expected.dtype and not got.flags.writeable
+    # bitwise, so signed zeros and the float rounding must agree too
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def assert_routes_match_the_dense_boundaries(c, rng):
+    """e, K and J read off the nonzeros equal d1.T @ v, beta * d @ d.T and alpha * d @ e."""
+    d1, d2 = c.d1, c.d2  # the first read builds them from the nonzeros
+    for v in (rng.integers(-9, 10, size=d1.shape[0]), rng.standard_normal(d1.shape[0])):
+        # each link sums two terms, so any summation order gives d1.T @ v exactly
+        assert_bitwise(gradient_link_values(c, v), d1.T @ v)
+    for degree, d in ((1, d1), (2, d2)):
+        gram = d @ d.T
+        cells = rng.integers(-9, 10, size=d.shape[1])
+        for coupling in COUPLINGS:
+            assert_bitwise(build_operator(c, degree, coupling), coupling * gram)
+            # integers, then floats whose partial sums are exact in any order
+            for e in (cells, cells.astype(float), cells / 8):
+                assert_bitwise(build_source(c, degree, e, coupling), coupling * (d @ e))
 
 
 @pytest.mark.parametrize("n", range(4, 402, 2))
-def test_operator_is_the_dense_gram_at_every_size(n):
+def test_every_route_matches_the_dense_boundaries_at_every_size(n):
+    assert_routes_match_the_dense_boundaries(build_chain_complex(n), np.random.default_rng(n))
+
+
+def test_every_route_matches_the_dense_boundaries_of_caller_built_complexes():
+    ladder = build_chain_complex(10)
+    for c in (six_vertex_interleaved_complex(), ChainComplex(ladder.d1 * 3, ladder.d2 * -2)):
+        assert_routes_match_the_dense_boundaries(c, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("n", [6, 40, 400])
+def test_float_sources_agree_with_the_dense_product_to_rounding(n):
+    # A d1 row sums up to three terms, in column order here and in whatever
+    # order the dense matvec takes, so other floats may differ in the last
+    # bit: by at most 2 (terms - 1) eps times the terms' summed magnitude.
     c = build_chain_complex(n)
-    assert_operator_is_dense_gram(c, 1, c.d1)
-    assert_operator_is_dense_gram(c, 2, c.d2)
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal(c.n_links) * 10.0 ** rng.integers(-5, 6, size=c.n_links)
+    for alpha in (1.0, -0.3, 7.1e3):
+        J = build_source(c, 1, e, alpha)
+        bound = 4 * np.finfo(float).eps * abs(alpha) * (np.abs(c.d1) @ np.abs(e))
+        assert J.dtype == np.float64
+        assert np.all(np.abs(J - alpha * (c.d1 @ e)) <= bound)
 
 
-def test_operator_is_the_dense_gram_on_the_interleaved_fixture():
-    c = six_vertex_interleaved_complex()
-    assert_operator_is_dense_gram(c, 1, c.d1)
-    assert_operator_is_dense_gram(c, 2, c.d2)
+def _largest_exact(product_bound):
+    """The largest max|x| with product_bound * max|x| < 2**63."""
+    return -(-(2**63) // product_bound) - 1
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+@pytest.mark.parametrize("alpha", [1, -5])
+def test_integer_routes_refuse_exactly_at_the_int64_bound(scale, alpha):
+    """|scalar| * row L1 * max|x| >= 2**63 is refused, and one less stays exact."""
+    ladder = build_chain_complex(8)
+    c = ChainComplex(ladder.d1 * scale, ladder.d2)
+    d1 = c.d1
+    row_l1 = 3 * scale  # vertex 2 has three links
+    m = _largest_exact(abs(alpha) * row_l1)
+    e = np.zeros(c.n_links, dtype=np.int64)
+    e[[0, 1, 7]] = m, -m, -m  # vertex 2's links, signed so its source reaches the bound
+    J = build_source(c, 1, e, alpha)
+    assert [int(x) for x in J] == [alpha * sum(int(a) * int(b) for a, b in zip(row, e)) for row in d1]
+    assert abs(int(J[1])) == abs(alpha) * row_l1 * m
+    e[0] = m + 1
+    with pytest.raises(ValueError, match="overflow int64"):
+        build_source(c, 1, e, alpha)
+
+    m = _largest_exact(2 * scale)  # the gradient's bound: every link has two ends
+    v = np.zeros(8, dtype=np.int64)
+    v[0] = m
+    assert gradient_link_values(c, v)[0] == -scale * m
+    v[0] = m + 1
+    with pytest.raises(ValueError, match="overflow int64"):
+        gradient_link_values(c, v)
+
+    beta = _largest_exact(row_l1 * scale)  # K's bound: |beta| * row L1 * max|d|
+    assert build_operator(c, 1, beta)[1, 1] == beta * row_l1 * scale
+    with pytest.raises(ValueError, match="overflow int64"):
+        build_operator(c, 1, beta + 1)
+
+
+def test_the_pipeline_leaves_the_dense_boundaries_unbuilt():
+    c = build_chain_complex(512)
+    v = np.arange(512) % 7 - 3
+    system = build_system(c, 1, gradient_link_values(c, v), alpha=2, beta=3)
+    assert verify_scc(system, v).exact
+    assert validate_complex(c).passed
+    repr(c), repr(system)
+    assert callable(vars(c)["d1"]) and callable(vars(c)["d2"])
+    assert callable(vars(system)["boundary"])
+    # once read, the system's boundary is the complex's own dense d1
+    assert system.boundary is c.d1 and not c.d1.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_a_copied_system_keeps_its_arrays_read_only(copy_of):
+    c = build_chain_complex(8)
+    v = np.arange(8)
+    copied = copy_of(build_system(c, 1, gradient_link_values(c, v), alpha=2, beta=3))
+    assert callable(vars(copied)["boundary"])
+    assert not (copied.K.flags.writeable or copied.J.flags.writeable or copied.boundary.flags.writeable)
+    assert_array_equal(copied.boundary, c.d1)
+    assert verify_scc(copied, v).exact
 
 
 @st.composite
@@ -313,9 +406,7 @@ def sparse_int64_matrices(draw):
 def test_operator_is_the_dense_gram_of_any_sparse_integer_boundary(d, beta):
     c = ChainComplex(d, np.zeros((d.shape[1], 0), dtype=np.int64))
     K = build_operator(c, 1, beta)
-    expected = beta * (d @ d.T)
-    assert K.dtype == expected.dtype and not K.flags.writeable
-    assert K.shape == expected.shape and K.tobytes() == expected.tobytes()
+    assert_bitwise(K, beta * (d @ d.T))
     K2 = build_operator(ChainComplex(np.zeros((0, d.shape[0]), dtype=np.int64), d), 2, beta)
     assert K2.tobytes() == K.tobytes()
 

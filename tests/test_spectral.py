@@ -401,6 +401,7 @@ def test_copies_round_trip_before_and_after_the_first_read(copy_of, read_first):
             s.eigenvectors, s.degeneracy_groups
         c = copy_of(s)
         _same_fields(c, s)  # the copy is read first: it builds from its own builders
+        assert not (c.eigenvalues.flags.writeable or c.eigenvectors.flags.writeable)
 
 
 def test_replace_takes_the_vectors_as_given():
