@@ -113,15 +113,27 @@ def check_coupling(value, name="beta"):
     return value
 
 
+def check_finite(a, what: str):
+    """``a`` unchanged, dtype included; ValueError unless every entry is finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def check_square(a: np.ndarray) -> np.ndarray:
+    """``a`` unchanged; ValueError unless it is a 2-D square matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def check_symmetric(a) -> np.ndarray:
     """``a`` as floats; ValueError unless each matrix ``a[..., :, :]`` is finite and symmetric.
 
     Each matrix's largest asymmetry may be at most 1e-12 times its largest
     entry (or 1e-12, for entries below 1).
     """
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = check_finite(np.asarray(a, dtype=float), "matrix entries")
     with np.errstate(over="ignore"):  # finite entries of opposite sign near the float maximum
         asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
     scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)

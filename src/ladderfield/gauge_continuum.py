@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain_complex import _finite, check_symmetric
+from .chain_complex import _finite, check_finite, check_symmetric
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
@@ -47,9 +47,7 @@ def _four_vector(v, name="momentum") -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (4,):
         raise ValueError(f"expected a four-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} components must be finite")
-    return v
+    return check_finite(v, f"{name} components")
 
 
 def _tensors(h) -> np.ndarray:
@@ -65,9 +63,7 @@ def _kernel(kernel) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2:
         raise ValueError(f"expected a 2-D kernel, got shape {kernel.shape}")
-    if not np.all(np.isfinite(kernel)):
-        raise ValueError("kernel entries must be finite")
-    return kernel
+    return check_finite(kernel, "kernel entries")
 
 
 def minkowski_square(k) -> float:
@@ -162,14 +158,21 @@ def output_divergence(k, out) -> np.ndarray | float:
     return float(div) if out.ndim == 1 else div
 
 
+def _scaled_up(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two lifting a largest |entry| below 0.5 into [0.5, 1).
+
+    It scales exactly, and the squares of tiny entries then cannot underflow."""
+    exponent = np.frexp(np.max(np.abs(a), initial=0.0))[1]
+    return np.ldexp(a, -min(int(exponent), 0))
+
+
 def null_residual(kernel, direction) -> float:
     """|kernel . direction| / (|kernel| |direction|), a scale-free nullity measure."""
     kernel = _kernel(kernel)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != kernel.shape[1:]:
         raise ValueError(f"expected a direction of shape {kernel.shape[1:]}, got shape {direction.shape}")
-    if not np.all(np.isfinite(direction)):
-        raise ValueError("direction entries must be finite")
+    kernel, direction = _scaled_up(kernel), _scaled_up(check_finite(direction, "direction entries"))
     norms = lambda: [np.linalg.norm(kernel @ direction), np.linalg.norm(kernel, 2), np.linalg.norm(direction)]
     norm_image, norm_ker, norm_dir = map(float, _finite("null residual", norms))
     if norm_dir == 0.0:

@@ -29,9 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
+from .chain_complex import check_finite
 from .errors import RowSpaceError
 from .scc import SccSystem
 from .spectral import Spectrum
@@ -64,9 +66,18 @@ def project_source(J, spectrum: Spectrum) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     if J.shape != (spectrum.n_modes,):
         raise ValueError(f"source has shape {J.shape}, expected ({spectrum.n_modes},)")
+    check_finite(J, "source entries")
     # einsum keeps this off the threaded matmul path, so outputs are
     # bitwise stable regardless of BLAS thread count
     return np.einsum("ij,i->j", spectrum.eigenvectors, J)
+
+
+def _check_mode(spectrum: Spectrum, mode) -> None:
+    """ValueError unless ``mode`` is an integer index of a nonzero mode of ``spectrum``."""
+    if not isinstance(mode, Integral) or not 0 <= mode < spectrum.n_modes:
+        raise ValueError(f"mode index must be an integer in [0, {spectrum.n_modes}), got {mode!r}")
+    if mode in spectrum.zero_modes:
+        raise ValueError(f"mode {mode} is a zero mode; only a nonzero mode has an outcome")
 
 
 def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float) -> np.ndarray:
@@ -129,10 +140,7 @@ def outcome_probability(
     This is the normalized distribution obtained by integrating out all
     other modes: mean Jt_k / a_k, variance 1 / a_k.
     """
-    if mode in spectrum.zero_modes:
-        raise ValueError(f"mode {mode} is a zero mode; its outcome density is undefined")
-    if not 0 <= mode < spectrum.n_modes:
-        raise ValueError(f"mode index {mode} out of range")
+    _check_mode(spectrum, mode)
     proj = _row_space_projection(system.J, spectrum, row_space_tol)
     a = float(spectrum.eigenvalues[mode])
     if a <= 0.0:

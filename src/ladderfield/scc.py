@@ -25,11 +25,13 @@ from .chain_complex import (
     ChainComplex,
     _BuiltOnFirstRead,
     _exact_route,
+    _finite,
     _frozen,
     _Nonzeros,
     _product_of_nonzeros,
     _ReadOnlyState,
     check_coupling,
+    check_finite,
 )
 from .errors import SccViolation
 from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
@@ -78,8 +80,8 @@ def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
     d = _select_boundary(c, n)
     exact = _exact_route(check_coupling(beta), d.vals, d)
     K = _product_of_nonzeros(d, d.T, np.int64 if exact else float)
-    K *= int(beta) if exact else float(beta)  # in place: K is the one N x N array built
-    return _frozen(K)
+    scale = lambda: np.multiply(K, int(beta) if exact else float(beta), out=K)  # in place: K is the one N x N array built
+    return _frozen(scale() if exact else _finite("operator beta * d @ d.T", scale))  # exact: bounded already
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
@@ -90,15 +92,9 @@ def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarr
         raise ValueError(
             f"cell values have shape {e.shape}, expected ({d.shape[1]},) for degree {n}"
         )
-    if not np.all(np.isfinite(e)):
-        raise ValueError("cell values must be finite")
-    if _exact_route(alpha, e, d):
+    if _exact_route(alpha, check_finite(e, "cell values"), d):
         return _frozen(int(alpha) * d.dot(e))
-    with np.errstate(over="ignore", invalid="ignore"):
-        J = float(alpha) * d.dot(e.astype(float))
-    if not np.all(np.isfinite(J)):
-        raise ValueError(f"source alpha * d @ e is not finite for alpha={alpha!r}")
-    return _frozen(J)
+    return _frozen(_finite("source alpha * d @ e", lambda: float(alpha) * d.dot(e.astype(float))))
 
 
 def build_system(
@@ -127,7 +123,7 @@ def gradient_link_values(c: ChainComplex, vertex_values) -> np.ndarray:
     v = np.asarray(vertex_values)
     if v.shape != (d1_t.shape[1],):
         raise ValueError(f"vertex values have shape {v.shape}, expected ({d1_t.shape[1]},)")
-    _exact_route(1, v, d1_t)  # raises where an integer gradient could wrap
+    _exact_route(1, check_finite(v, "vertex values"), d1_t)  # raises where an integer gradient could wrap
     return _frozen(d1_t.dot(v))
 
 

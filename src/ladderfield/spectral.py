@@ -32,10 +32,12 @@ import numpy as np
 
 from .chain_complex import (
     _BuiltOnFirstRead,
+    _finite,
     _frozen,
     _ReadOnlyState,
     check_coupling,
     check_n,
+    check_square,
     check_symmetric,
 )
 
@@ -124,10 +126,7 @@ def _sign_fix(vecs: np.ndarray) -> np.ndarray:
 
 def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     """Dense eigensolve of a square symmetric matrix; ValueError otherwise."""
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    return np.linalg.eigh(check_symmetric(K))
+    return np.linalg.eigh(check_symmetric(check_square(np.asarray(K, dtype=float))))
 
 
 def _columns_in_order(build_vecs, order: np.ndarray) -> np.ndarray:
@@ -183,9 +182,8 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     beta = check_coupling(beta)
     half = n // 2
     lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(half) / n)
-    vals = np.empty(n)
-    vals[0::2] = beta * (lam - 1.0)
-    vals[1::2] = beta * (lam + 1.0)
+    # beta (lam_j - 1) in even places, beta (lam_j + 1) in odd ones
+    vals = _finite("closed-form spectrum", lambda: beta * np.stack((lam - 1.0, lam + 1.0), axis=1).ravel())
     return _assemble(
         vals, partial(_closed_form_vectors, n), [SYMMETRIC, ANTISYMMETRIC] * half, beta, "euclidean"
     )
@@ -203,15 +201,21 @@ def lorentzian_operator(K: np.ndarray, beta: float = 1) -> np.ndarray:
     Integer K with an Integral beta stays exact int64, with ValueError where
     an entry could leave the int64 range; anything else comes out float64.
     """
-    K = np.asarray(K)
-    n = K.shape[0]
-    shift = 2 * (np.eye(n, dtype=np.int64) - parity_swap_matrix(n).astype(np.int64))
+    K = check_square(np.asarray(K))
+    n = check_n(K.shape[0])
     exact = isinstance(check_coupling(beta), Integral) and np.issubdtype(K.dtype, np.integer)
     # entries of K_M are at most max|K| + 2|beta| in magnitude
     if exact and max(int(K.max(initial=0)), -int(K.min(initial=0))) + 2 * abs(int(beta)) >= 2**63:
         raise ValueError(f"integer arithmetic would overflow int64: max|K| + 2 * |{beta}| >= 2**63")
-    scalar = int(beta) if exact else float(beta)
-    return _frozen(K - scalar * shift)
+    shift = 2 * (int(beta) if exact else float(beta))
+    K_M = np.array(K, dtype=np.result_type(K, np.int64 if exact else float))
+    i = np.arange(n)
+
+    def shifted():  # in place: the 2N entries on the diagonal and at each vertex's rail-swap partner
+        K_M[i, i] -= shift
+        K_M[i, (i + n // 2) % n] += shift
+        return K_M
+    return _frozen(shifted() if exact else _finite("Lorentzian operator", shifted))
 
 
 def numeric_spectrum(K) -> Spectrum:

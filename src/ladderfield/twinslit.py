@@ -50,9 +50,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_complex import _finite, build_chain_complex, check_coupling, check_n
+from .chain_complex import _finite, build_chain_complex, check_coupling, check_finite, check_n
 from .errors import GaugeObstruction, RowSpaceError
-from .partition import _row_space_projection
+from .partition import _check_mode, _row_space_projection
 from .scc import build_source
 from .spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 
@@ -140,8 +140,7 @@ def split_links(link_values, n_vertices: int):
     half = n // 2
     if e.shape != (3 * half - 2,):
         raise ValueError(f"link vector has shape {e.shape}, expected ({3 * half - 2},)")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("link values must be finite")
+    check_finite(e, "link values")
     return e[: half - 1], e[half - 1 : n - 2], e[n - 2 :]
 
 
@@ -285,16 +284,12 @@ def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
     n = check_n(n_vertices)
     half = n // 2
 
-    k = np.arange(1, half)
-    sine_err = 0.0
-    square_total = 0.0
-    for j in range(1, half):
-        direct = float(np.sum(np.sin(2.0 * np.pi * j * k / n)))
-        expected = 0.0 if j % 2 == 0 else 1.0 / math.tan(j * math.pi / n)
-        sine_err = max(sine_err, abs(direct - expected))
-        square_total += direct**2
-
-    composite_err = abs(square_total - ((n - 2) / 4.0) * (n / 2.0))
+    j = np.arange(1, half)
+    # row j sums sin(2 pi j k / N) over k = 1 .. N/2 - 1
+    direct = np.sin(2.0 * np.pi * np.outer(j, j) / n).sum(axis=1)
+    expected = np.where(j % 2, 1.0 / np.tan(j * np.pi / n), 0.0)
+    sine_err = float(np.max(np.abs(direct - expected), initial=0.0))
+    composite_err = abs(float(np.sum(direct**2)) - ((n - 2) / 4.0) * (n / 2.0))
 
     cot_err = 0.0
     for m in range(1, half + 1):
@@ -341,10 +336,7 @@ def conditional_amplitude(
     links = uniform_link_values(n, e_x, config.e_T)
 
     spectrum = continue_to_lorentzian(ladder_spectrum_closed_form(n, beta=config.beta), n)
-    if mode in spectrum.zero_modes:
-        raise ValueError(f"mode {mode} is a zero mode of the continued operator")
-    if not 0 <= mode < spectrum.n_modes:
-        raise ValueError(f"mode index {mode} out of range")
+    _check_mode(spectrum, mode)
 
     J = build_source(build_chain_complex(n), 1, links, config.alpha)
     try:

@@ -26,6 +26,7 @@ from ladderfield.gauge_continuum import (
     output_divergence,
     sym_to_vec,
 )
+from ladderfield.partition import outcome_probability, project_source
 from ladderfield.scc import (
     SccSystem,
     build_operator,
@@ -44,6 +45,7 @@ from ladderfield.spectral import (
 from ladderfield.twinslit import (
     SlitGeometry,
     TwinSlitConfig,
+    conditional_amplitude,
     geometry_to_links,
     interference_phase_difference,
     phase_decomposition,
@@ -122,7 +124,10 @@ def test_verify_scc_reports_the_unwrapped_residual():
 
 @pytest.mark.parametrize(
     "e, alpha",
-    [([1e300, 0, 0, 0], 1e10), ([1e308, 1e308, 1e308, 1e308], 1.0), ([1.0, 0, 0, 0], float("nan"))],
+    [
+        ([1e300, 0, 0, 0], 1e10), ([1e308, 1e308, 1e308, 1e308], 1.0), ([1.0, 0, 0, 0], float("nan")),
+        pytest.param([1.0, 0, 0, 0], 10**400, id="int_alpha_past_the_float_range"),
+    ],
 )
 def test_build_source_refuses_a_non_finite_source(e, alpha):
     with pytest.raises(ValueError, match="^source alpha \\* d @ e is not finite"):
@@ -215,8 +220,15 @@ def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
         (lambda: phase_decomposition(np.ones(7), 6, 1.0, 1e-320, 1e-10), "phase decomposition"),
         (lambda: phase_exponent([1e200], [1.0], 1.0, 1.0), "phase exponent"),
         (lambda: phase_exponent([1.0], [1.0], 1e-320, 1e-10), "phase exponent"),
+        (lambda: build_operator(build_chain_complex(4), 1, 1e308), "operator beta * d @ d.T"),
+        (lambda: ladder_spectrum_closed_form(6, 1e308), "closed-form spectrum"),
+        (lambda: lorentzian_operator(np.eye(4) * 1e308, 1e308), "Lorentzian operator"),
+        (lambda: lorentzian_operator(np.eye(4) * 1.7e308, -1e308), "Lorentzian operator"),
     ],
-    ids=["large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow"],
+    ids=[
+        "large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow",
+        "operator_large_beta", "closed_form_large_beta", "lorentzian_large_beta", "lorentzian_large_entry",
+    ],
 )
 def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
     # finite inputs whose phase overflows, or whose nonzero hbar * beta underflows
@@ -236,6 +248,46 @@ def test_link_values_must_be_finite(entry, bad):
     e[3] = bad
     with pytest.raises(ValueError, match="^link values must be finite$"):
         entry(e, 6)
+
+
+_C4 = build_chain_complex(4)
+
+ARRAY_ENTRY_POINTS = {
+    "build_source": (lambda x: build_source(_C4, 1, x, 1.0), "cell values"),
+    "gradient_link_values": (lambda x: gradient_link_values(_C4, x), "vertex values"),
+    "project_source": (lambda x: project_source(x, ladder_spectrum_closed_form(4)), "source entries"),
+    "null_residual": (lambda x: null_residual(np.eye(4), x), "direction entries"),
+    "null_space_dimension": (lambda x: null_space_dimension(np.diag(x)), "kernel entries"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_every_array_entry_point_names_its_non_finite_entries(entry, bad):
+    # one rule, chain_complex.check_finite; a NaN source once gave NaN projections
+    call, what = ARRAY_ENTRY_POINTS[entry]
+    x = np.ones(4)
+    x[1] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be finite$"):
+        call(x)
+
+
+MODE_ENTRY_POINTS = {
+    "outcome_probability": lambda mode: outcome_probability(
+        build_system(_C4, 1, np.ones(4)), ladder_spectrum_closed_form(4), mode, 0.0
+    ),
+    "conditional_amplitude": lambda mode: conditional_amplitude(
+        TwinSlitConfig.calibrated(6, 1.0, 0.5, 1.0, 2.0), 1, 0.0, mode
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [1.5, 1.0, np.float64(2.0), "1"])
+@pytest.mark.parametrize("entry", sorted(MODE_ENTRY_POINTS))
+def test_mode_entry_points_refuse_a_mode_that_is_not_an_integer(entry, mode):
+    pattern = rf"^mode index must be an integer in \[0, \d+\), got {re.escape(repr(mode))}$"
+    with pytest.raises(ValueError, match=pattern):
+        MODE_ENTRY_POINTS[entry](mode)
 
 
 @pytest.mark.parametrize("lambda_hat", [float("inf"), float("nan"), 1e-200, 1e-154, 1e155, 1e200])
@@ -371,6 +423,22 @@ def test_symmetric_entry_points_refuse_an_asymmetry_beyond_the_float_range(entry
         SYMMETRIC_ENTRY_POINTS[entry](h)
 
 
+SQUARE_ENTRY_POINTS = {
+    "numeric_spectrum": numeric_spectrum,
+    "null_space_basis": null_space_basis,
+    "lorentzian_operator": lorentzian_operator,
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (4,), (2, 4, 4), ()])
+@pytest.mark.parametrize("entry", sorted(SQUARE_ENTRY_POINTS))
+def test_square_entry_points_refuse_any_other_shape_the_same_way(entry, shape):
+    # a (4, 6) matrix was once a numpy broadcast error in lorentzian_operator, and (4,) a 4x4 result
+    message = f"expected a square matrix, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SQUARE_ENTRY_POINTS[entry](np.ones(shape))
+
+
 def test_a_stacked_apply_checks_each_tensor_on_its_own_scale():
     # 1e-9 asymmetry passes next to entries of 1e4, not next to entries of 1
     h = np.stack([np.eye(4) * 1e4, np.eye(4)])
@@ -416,6 +484,18 @@ def test_every_kernel_entry_point_refuses_a_bad_kernel_the_same_way(entry, kerne
 def test_null_residual_refuses_a_bad_direction(kernel, direction, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         null_residual(kernel, direction)
+
+
+@pytest.mark.parametrize(
+    "kernel_scale, direction_scale", [(1e-200, 1e-200), (1e-320, 1.0), (1.0, 5e-324), (1e-3, 1e-160), (1e100, 1e-300)]
+)
+def test_null_residual_is_scale_free_down_to_subnormal_entries(kernel_scale, direction_scale):
+    # squares of tiny entries underflow to zero; scaling up by a power of two first is exact
+    kernel = np.diag([1.0, 2.0, 0.0, 0.0])
+    direction = np.array([1.0, 0.0, 1.0, 0.0])
+    expected = null_residual(kernel, direction)
+    assert expected == pytest.approx(1 / 2**1.5, rel=1e-15)
+    assert null_residual(kernel * kernel_scale, direction * direction_scale) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3,), (), (3, 4), (10, 4, 4)])

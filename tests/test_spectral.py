@@ -505,6 +505,19 @@ def test_lorentzian_operator_dtype_follows_the_coupling_type():
     assert lorentzian_operator(K.astype(float), 1).dtype == np.float64
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 40, 130])
+def test_lorentzian_operator_is_bitwise_the_dense_shift(n):
+    # the shift by index against K - beta * 2 (I - S) with a dense permutation S
+    K = build_operator(build_chain_complex(n), 1, 3)
+    rng = np.random.default_rng(n)
+    cases = [(K, 3), (dense_operator(n, 1.7), 1.7), (K, 2.5), (rng.normal(size=(n, n)), 0.9), (K.astype(np.int32), 2)]
+    shift = 2 * (np.eye(n, dtype=np.int64) - parity_swap_matrix(n).astype(np.int64))
+    for K, beta in cases:
+        expected = K - (beta if isinstance(beta, int) and K.dtype.kind == "i" else float(beta)) * shift
+        got = lorentzian_operator(K, beta)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_a_float_operator_takes_an_integer_coupling_past_the_int64_range():
     # only the exact route has an int64 bound; a float K is shifted in float64
     K = dense_operator(6)
