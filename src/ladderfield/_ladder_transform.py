@@ -1,0 +1,97 @@
+"""The ladder's one transform: its modes are DCT-II vectors on each rail.
+
+The closed-form eigenvectors are [x_j; +-x_j], with x_j the j-th DCT-II
+vector on N/2 points (Strang, SIAM Rev. 41(1), 1999).  A vertex vector
+projects onto every mode through one DCT-II of its rail sum and difference,
+and a sum of modes is one DCT-III back; the phase split's sine sums are a
+DST-I.  Each is unnormalised, acts along the last axis and runs on numpy.fft
+(Makhoul, IEEE TASSP 28(1), 1980): O(N log N) time, O(N) memory, and single
+threaded, so no result depends on the BLAS thread count.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import numpy as np
+
+from .chain_complex import _BuiltOnFirstRead, _frozen, _ReadOnlyState
+
+#: Entries of the largest cosine block column_signs builds at once.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def ladder_eigenvalues(n: int) -> np.ndarray:
+    """Unit-coupling eigenvalues: lam_j - 1 (symmetric) in place 2j, lam_j + 1 in place 2j + 1."""
+    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2) / n)
+    return np.stack((lam - 1.0, lam + 1.0), axis=1).ravel()
+
+
+def rails(x: np.ndarray) -> np.ndarray:
+    """(first half + second half, first half - second half) of a 1-D vector, stacked."""
+    left, right = x[: x.size // 2], x[x.size // 2 :]
+    return np.stack((left + right, left - right))
+
+
+def dct2(y: np.ndarray) -> np.ndarray:
+    """sum_k y_k cos(pi j (2k + 1) / 2m) for j < m, where m is the last axis's length."""
+    m = y.shape[-1]
+    return (np.fft.rfft(y, 2 * m)[..., :m] * np.exp(-0.5j * np.pi * np.arange(m) / m)).real
+
+
+def dct3(w: np.ndarray) -> np.ndarray:
+    """The transpose of dct2: sum_j w_j cos(pi j (2k + 1) / 2m) for k < m."""
+    m = w.shape[-1]
+    z = w * np.exp(0.5j * np.pi * np.arange(m) / m)
+    z[..., 0] *= 2.0  # irfft counts every other term twice, with its conjugate
+    return m * np.fft.irfft(z, 2 * m)[..., :m]
+
+
+def dst1(y: np.ndarray) -> np.ndarray:
+    """sum_k y_k sin(pi j k / (m + 1)) for j, k = 1 .. m, where m is the last axis's length."""
+    padded = np.concatenate((np.zeros(y.shape[:-1] + (1,)), y), axis=-1)
+    return -np.fft.rfft(padded, 2 * padded.shape[-1])[..., 1 : padded.shape[-1]].imag
+
+
+def cosine_block(n: int, j: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Columns x_j for the modes j: sqrt(2/n) cos((2k + 1) j pi / n) for k < n/2, and sqrt(1/n) at j = 0."""
+    x = np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * np.arange(n // 2) + 1, j) * np.pi / n), out=out)
+    x[:, j == 0] = np.sqrt(1.0 / n)
+    return x
+
+
+def column_signs(n: int) -> np.ndarray:
+    """-1 for each x_j that spectral._sign_fix flips, else +1: the same floats, a block of columns at a time."""
+    half = n // 2
+    step = max(1, _BLOCK_ENTRIES // half)
+    signs = np.empty(half)
+    for start in range(0, half, step):
+        j = np.arange(start, min(start + step, half))
+        x = cosine_block(n, j)
+        signs[j] = np.where(x[np.argmax(np.abs(x), axis=0), j - start] < 0, -1.0, 1.0)
+    return _frozen(signs)
+
+
+class LadderBasis(_ReadOnlyState):
+    """A Spectrum's closed-form modes: column i is mode ``modes[i]`` of ladder_eigenvalues,
+    times the sign ``signs[modes[i] // 2]``, which is built on first read."""
+
+    signs = _BuiltOnFirstRead()
+
+    def __init__(self, modes: np.ndarray):
+        self.modes = _frozen(modes)
+        self.signs = partial(column_signs, modes.size)
+
+    def _scale(self) -> np.ndarray:
+        return np.sqrt(np.where(np.arange(self.modes.size // 2) == 0, 1.0, 2.0) / self.modes.size)
+
+    def project(self, x: np.ndarray, signed: bool = True) -> np.ndarray:
+        """x's component along each column, or along its mode before the sign fix."""
+        p = (dct2(rails(x)) * self._scale()).T.ravel()[self.modes]
+        return p * self.signs[self.modes // 2] if signed else p
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """The sum of coeffs[i] times column i's mode, before its sign fix."""
+        modal = np.empty(self.modes.size)
+        modal[self.modes] = coeffs
+        return dct3(rails(modal.reshape(-1, 2).T.ravel()) * self._scale()).ravel()

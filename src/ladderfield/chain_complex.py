@@ -115,6 +115,8 @@ def check_coupling(value, name="beta"):
 
 def check_finite(a, what: str):
     """``a`` unchanged, dtype included; ValueError unless every entry is finite."""
+    if a.dtype == object:  # numpy's array of integers past int64
+        raise ValueError(f"{what} must be floats or integers within the int64 range (|x| < 2**63)")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     return a
@@ -198,9 +200,10 @@ def _max_row_l1(matrix: _Nonzeros | np.ndarray) -> int:
     if isinstance(matrix, _Nonzeros):
         sums = np.zeros(matrix.shape[0], dtype=np.uint64)
         np.add.at(sums, matrix.rows, np.abs(matrix.vals).astype(np.uint64))
-    else:
-        sums = np.abs(matrix).sum(axis=1, dtype=np.uint64)
-    return int(sums.max(initial=0))
+        return int(sums.max(initial=0))
+    step = max(1, (1 << 16) // max(matrix.shape[1], 1))  # rows per block: |matrix| is no large temporary
+    blocks = (np.abs(matrix[i : i + step]).sum(axis=1, dtype=np.uint64) for i in range(0, len(matrix), step))
+    return max((int(b.max(initial=0)) for b in blocks), default=0)
 
 
 def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | np.ndarray | None = None) -> bool:

@@ -33,7 +33,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .chain_complex import check_finite
+from .chain_complex import _finite, check_finite
 from .errors import RowSpaceError
 from .scc import SccSystem
 from .spectral import Spectrum
@@ -63,13 +63,7 @@ class PartitionResult:
 
 def project_source(J, spectrum: Spectrum) -> np.ndarray:
     """Components of J along every eigenvector, in spectrum order."""
-    J = np.asarray(J, dtype=float)
-    if J.shape != (spectrum.n_modes,):
-        raise ValueError(f"source has shape {J.shape}, expected ({spectrum.n_modes},)")
-    check_finite(J, "source entries")
-    # einsum keeps this off the threaded matmul path, so outputs are
-    # bitwise stable regardless of BLAS thread count
-    return np.einsum("ij,i->j", spectrum.eigenvectors, J)
+    return _row_space_projection(J, spectrum, np.inf)
 
 
 def _check_mode(spectrum: Spectrum, mode) -> None:
@@ -80,10 +74,25 @@ def _check_mode(spectrum: Spectrum, mode) -> None:
         raise ValueError(f"mode {mode} is a zero mode; only a nonzero mode has an outcome")
 
 
-def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float) -> np.ndarray:
-    """project_source(J), with RowSpaceError for a zero-mode component above row_space_tol * |J|."""
-    proj = project_source(J, spectrum)
-    if spectrum.zero_modes:
+def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float, signed: bool = True) -> np.ndarray:
+    """J's components in spectrum order; RowSpaceError for a zero-mode one above row_space_tol * |J|.
+
+    A closed-form or continued spectrum projects through the DCT, and with
+    ``signed`` False skips its sign fix: enough for a component that is
+    squared, or multiplies its own column.
+    """
+    J = np.asarray(J, dtype=float)
+    if J.shape != (spectrum.n_modes,):
+        raise ValueError(f"source has shape {J.shape}, expected ({spectrum.n_modes},)")
+    check_finite(J, "source entries")
+    basis = getattr(spectrum, "_basis", None)
+    if basis is None:
+        # einsum keeps this off the threaded matmul path, so outputs are
+        # bitwise stable regardless of BLAS thread count
+        proj = np.einsum("ij,i->j", spectrum.eigenvectors, J)
+    else:
+        proj = _finite("source projection", lambda: basis.project(J, signed))
+    if spectrum.zero_modes and row_space_tol < np.inf:  # numpy.inf skips the check
         worst = float(np.max(np.abs(proj[list(spectrum.zero_modes)])))
         if worst > row_space_tol * max(float(np.linalg.norm(J)), 1e-300):
             raise RowSpaceError(
@@ -93,10 +102,17 @@ def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float) -> np.nda
     return proj
 
 
-def _retained(system: SccSystem, spectrum: Spectrum, row_space_tol: float):
+def _nonzero_mask(spectrum: Spectrum) -> np.ndarray:
+    """True at the nonzero modes: it indexes them, in order, with no list of every index."""
+    keep = np.ones(spectrum.n_modes, dtype=bool)
+    keep[list(spectrum.zero_modes)] = False
+    return keep
+
+
+def _retained(system: SccSystem, spectrum: Spectrum, row_space_tol: float, signed: bool = True):
     """Projections and eigenvalues over nonzero modes, all of which must be positive."""
-    proj = _row_space_projection(system.J, spectrum, row_space_tol)
-    keep = list(spectrum.nonzero_modes)
+    proj = _row_space_projection(system.J, spectrum, row_space_tol, signed)
+    keep = _nonzero_mask(spectrum)
     a = spectrum.eigenvalues[keep]
     if np.any(a <= 0.0):
         raise ValueError(
@@ -117,7 +133,7 @@ def euclidean_Z(
     ``numpy.inf`` to skip the membership check when the caller has
     already projected the source).
     """
-    jt, a = _retained(system, spectrum, row_space_tol)
+    jt, a = _retained(system, spectrum, row_space_tol, signed=False)
     exponent = float(np.sum(jt**2 / (2.0 * a)))
     log_mag = float(0.5 * np.sum(np.log(2.0 * np.pi / a))) + exponent
     return PartitionResult(
@@ -160,11 +176,14 @@ def classical_solution(
     Solves K Q = J within the row space, i.e. the pseudoinverse applied
     to the source.
     """
-    proj = _row_space_projection(system.J, spectrum, row_space_tol)
-    keep = list(spectrum.nonzero_modes)
+    proj = _row_space_projection(system.J, spectrum, row_space_tol, signed=False)
+    keep = _nonzero_mask(spectrum)
     coeffs = np.zeros(spectrum.n_modes)
     coeffs[keep] = proj[keep] / spectrum.eigenvalues[keep]
-    return np.einsum("ij,j->i", spectrum.eigenvectors, coeffs)
+    basis = getattr(spectrum, "_basis", None)
+    if basis is None:
+        return np.einsum("ij,j->i", spectrum.eigenvectors, coeffs)
+    return basis.synthesize(coeffs)
 
 
 def _log_mean_exp(log_terms: np.ndarray) -> float:

@@ -191,8 +191,9 @@ def null_space_basis(K) -> list[np.ndarray]:
 
     A direction counts as null when its eigenvalue magnitude is at most
     ``ZERO_MODE_RTOL`` times the largest, the rule behind a Spectrum's
-    zero modes.  Vectors are sign-fixed (largest-magnitude component
-    positive) so the basis is reproducible.
+    zero modes.  Vectors are sign-fixed so the basis is reproducible: the
+    largest-magnitude component as rounded to float, the first of equal
+    floats, is positive.
     """
     vals, vecs = _symmetric_eigh(K)
     basis = _sign_fix(vecs[:, list(_zero_mode_indices(vals))]).T.copy()

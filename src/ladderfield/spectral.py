@@ -40,6 +40,7 @@ from .chain_complex import (
     check_square,
     check_symmetric,
 )
+from ._ladder_transform import LadderBasis, cosine_block, ladder_eigenvalues
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -61,8 +62,9 @@ class _LazyFields(_ReadOnlyState):
 class Spectrum(_LazyFields):
     """Eigenvalues (ascending), eigenvectors (columns), and bookkeeping.
 
-    Each eigenvector column has its largest-magnitude entry positive
-    (the first such entry on a tie).  ``parity`` tags each column
+    Each eigenvector column has its largest-magnitude entry positive: the
+    largest as rounded to float, the first of equal floats (entries of equal
+    exact magnitude can differ in the last bit).  ``parity`` tags each column
     'symmetric' / 'antisymmetric' under the rail swap, or None when no
     parity structure applies.  ``beta`` is the coupling the operator was
     built with, so unit-coupling shape eigenvalues are ``eigenvalues / beta``.
@@ -71,6 +73,10 @@ class Spectrum(_LazyFields):
     zero-argument builder; a builder runs on the first read and its result
     is kept, so a caller that reads only eigenvalues never pays for them.
     ``repr`` leaves both out, and ``==`` is identity, so neither builds them.
+
+    A closed-form or continued spectrum also keeps a DCT basis, through which
+    partition reads its modes without building the vectors; one made by
+    ``dataclasses.replace`` or this constructor keeps none and uses its own.
     """
 
     eigenvalues: np.ndarray
@@ -113,7 +119,7 @@ def _degeneracy_groups(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's largest-magnitude entry is positive.
+    """Flip columns in place so each one's largest-magnitude float, the first of equal ones, is positive.
 
     One column at a time: a copy, or one whole-matrix argmax, raises peak memory.
     """
@@ -133,18 +139,19 @@ def _columns_in_order(build_vecs, order: np.ndarray) -> np.ndarray:
     return _frozen(np.asarray(build_vecs(), dtype=float)[:, order])
 
 
-def _assemble(vals, build_vecs, parity, beta, regime) -> Spectrum:
+def _assemble(vals, build_vecs, parity, beta, regime, modes=None) -> Spectrum:
     """Sort the modes stably by eigenvalue.
 
     ``build_vecs`` is a zero-argument builder of the sign-fixed vectors in
     the order of ``vals``; it runs, and the columns are sorted, only when
     the eigenvectors are first read, and the degeneracy groups likewise.
     Builders are module-level functions bound by ``partial``, so a
-    Spectrum pickles before its first read as after it.
+    Spectrum pickles before its first read as after it.  ``modes`` gives
+    the closed-form mode of each value, kept as the spectrum's basis.
     """
     order = np.argsort(vals, kind="stable")
     vals = _frozen(np.asarray(vals, dtype=float)[order])
-    return Spectrum(
+    spectrum = Spectrum(
         eigenvalues=vals,
         eigenvectors=partial(_columns_in_order, build_vecs, order),
         parity=tuple(parity[i] for i in order),
@@ -153,17 +160,16 @@ def _assemble(vals, build_vecs, parity, beta, regime) -> Spectrum:
         beta=float(beta),
         regime=regime,
     )
+    if modes is not None:  # an instance attribute, not a field, so replace() drops it
+        object.__setattr__(spectrum, "_basis", LadderBasis(modes[order]))
+    return spectrum
 
 
 def _closed_form_vectors(n: int) -> np.ndarray:
     """Sign-fixed closed-form eigenvectors, mode j in columns 2j (symmetric) and 2j + 1."""
     half = n // 2
-    j = np.arange(half)
-    # column j of x is the half-vector x_j
     vecs = np.empty((n, n))
-    x = vecs[:half, 0::2]
-    np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * j + 1, j) * np.pi / n), out=x)
-    x[:, 0] = np.sqrt(1.0 / n)
+    x = cosine_block(n, np.arange(half), out=vecs[:half, 0::2])  # column j is the half-vector x_j
     # the pivot of [x_j; +-x_j] and its sign both lie in x_j, so fixing x fixes every column
     _sign_fix(x)
     vecs[half:, 0::2] = x
@@ -180,12 +186,10 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     """
     n = check_n(n_vertices)
     beta = check_coupling(beta)
-    half = n // 2
-    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(half) / n)
-    # beta (lam_j - 1) in even places, beta (lam_j + 1) in odd ones
-    vals = _finite("closed-form spectrum", lambda: beta * np.stack((lam - 1.0, lam + 1.0), axis=1).ravel())
+    vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(n))
     return _assemble(
-        vals, partial(_closed_form_vectors, n), [SYMMETRIC, ANTISYMMETRIC] * half, beta, "euclidean"
+        vals, partial(_closed_form_vectors, n), [SYMMETRIC, ANTISYMMETRIC] * (n // 2), beta, "euclidean",
+        modes=np.arange(n),
     )
 
 
@@ -268,4 +272,6 @@ def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
     vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
     # the parent's vectors, read (and kept by the parent) only when these are
     parent_vecs = partial(getattr, spectrum, "eigenvectors")
-    return _assemble(vals, parent_vecs, spectrum.parity, spectrum.beta, "lorentzian")
+    basis = getattr(spectrum, "_basis", None)
+    modes = None if basis is None else basis.modes
+    return _assemble(vals, parent_vecs, spectrum.parity, spectrum.beta, "lorentzian", modes)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._ladder_transform import dct2, dst1, rails
 from .chain_complex import _finite, build_chain_complex, check_coupling, check_finite, check_n
 from .errors import GaugeObstruction, RowSpaceError
 from .partition import _check_mode, _row_space_projection
@@ -208,16 +209,12 @@ def phase_decomposition(
         phi_spatial = sign * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
 
         j = np.arange(1, half)
-        k = np.arange(1, half)
-        rungs = np.arange(1, half + 1)
-        # interior sine sums over the rails, one row per mode j
-        sines = np.sin(2.0 * np.pi * np.outer(j, k) / n)
-        t_sums = sines @ (e_left + e_right)
+        # the interior sine sums of the rail sum and difference, and the rungs' cosine sums, per mode j
+        t_sums, rail_diff = dst1(rails(np.concatenate((e_left, e_right))))
+        rung_cos = dct2(e_spatial)[1:]
         phi_temporal = (2.0 * alpha**2 / n) * float(np.sum(t_sums**2))
 
         s_j = np.sin(j * np.pi / n)
-        rail_diff = sines @ (e_left - e_right)
-        rung_cos = np.cos(np.outer(j, 2 * rungs - 1) * np.pi / n) @ e_spatial
         numerators = s_j * rail_diff + rung_cos
 
         denom_offset = 1.0 if regime == EUCLIDEAN else -1.0
@@ -285,8 +282,7 @@ def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
     half = n // 2
 
     j = np.arange(1, half)
-    # row j sums sin(2 pi j k / N) over k = 1 .. N/2 - 1
-    direct = np.sin(2.0 * np.pi * np.outer(j, j) / n).sum(axis=1)
+    direct = dst1(np.ones(half - 1))  # entry j sums sin(2 pi j k / N) over k = 1 .. N/2 - 1
     expected = np.where(j % 2, 1.0 / np.tan(j * np.pi / n), 0.0)
     sine_err = float(np.max(np.abs(direct - expected), initial=0.0))
     composite_err = abs(float(np.sum(direct**2)) - ((n - 2) / 4.0) * (n / 2.0))

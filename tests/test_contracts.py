@@ -224,10 +224,12 @@ def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
         (lambda: ladder_spectrum_closed_form(6, 1e308), "closed-form spectrum"),
         (lambda: lorentzian_operator(np.eye(4) * 1e308, 1e308), "Lorentzian operator"),
         (lambda: lorentzian_operator(np.eye(4) * 1.7e308, -1e308), "Lorentzian operator"),
+        (lambda: project_source(np.full(8, 1e308), ladder_spectrum_closed_form(8)), "source projection"),
     ],
     ids=[
         "large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow",
         "operator_large_beta", "closed_form_large_beta", "lorentzian_large_beta", "lorentzian_large_entry",
+        "projection_large_source",
     ],
 )
 def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
@@ -270,6 +272,16 @@ def test_every_array_entry_point_names_its_non_finite_entries(entry, bad):
     x[1] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(what)} must be finite$"):
         call(x)
+
+
+@pytest.mark.parametrize("big", [2**70, -(2**63) - 1, 2**64])
+@pytest.mark.parametrize("entry", ["build_source", "gradient_link_values"])
+def test_integer_entry_points_refuse_an_integer_past_int64(entry, big):
+    # numpy holds such a list as an object array, on which isfinite raised a TypeError
+    call, what = ARRAY_ENTRY_POINTS[entry]
+    message = f"{what} must be floats or integers within the int64 range (|x| < 2**63)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call([big, 0, 0, 0])
 
 
 MODE_ENTRY_POINTS = {

@@ -2,10 +2,11 @@
 sampling oracles that never see the closed form."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ladderfield.chain_complex import build_chain_complex
 from ladderfield.errors import RowSpaceError
@@ -348,3 +349,62 @@ def test_gauge_direction_does_not_move_observables():
             outcome_probability(system, s, mode, 0.3),
             rtol=1e-12,
         )
+
+
+# ---------------------------------------------------------------------------
+# the DCT route of closed-form spectra against their dense vectors
+
+EPS = np.finfo(float).eps
+
+
+def _route_cases(n):
+    """(system, integer field or None, spectra) for an integer and a float coupling."""
+    rng = np.random.default_rng(n)
+    c = build_chain_complex(n)
+    for alpha, beta, v in ((2, 3, rng.integers(-9, 10, n)), (0.6, 1.7, rng.normal(size=n))):
+        system = build_system(c, 1, gradient_link_values(c, v), alpha=alpha, beta=beta)
+        s = ladder_spectrum_closed_form(n, beta=beta)
+        yield system, v if v.dtype.kind == "i" else None, (s, continue_to_lorentzian(s, n))
+
+
+def _same_outcome(route, oracle):
+    """route() and oracle() both raise the same error type, or both return; returns the pair."""
+    try:
+        want = oracle()
+    except ValueError as exc:
+        with pytest.raises(type(exc)):
+            route()
+        return None
+    return route(), want
+
+
+@pytest.mark.parametrize("n", range(4, 401, 2))
+def test_the_transform_route_matches_the_dense_vectors(n):
+    """A spectrum without its DCT basis (``replace``) reads its dense vectors:
+    the oracle for projection, Z and the classical solution."""
+    for system, v, spectra in _route_cases(n):
+        J = np.asarray(system.J, dtype=float)
+        # the error bound of a length-N float dot product with a unit vector
+        bound = n * EPS * float(np.linalg.norm(J))
+        for s in spectra:
+            dense = replace(s)
+            p, want = project_source(J, s), project_source(J, dense)
+            assert np.max(np.abs(p - want)) <= bound
+            big = np.abs(want) > bound
+            assert_array_equal(np.sign(p[big]), np.sign(want[big]))
+
+            pair = _same_outcome(lambda: euclidean_Z(system, s), lambda: euclidean_Z(system, dense))
+            if pair is not None:
+                got, want = pair
+                assert got.restricted_dimension == want.restricted_dimension
+                assert_allclose(got.log_magnitude, want.log_magnitude, rtol=1e-12)
+                assert_allclose(got.exponent_term, want.exponent_term, rtol=1e-12)
+
+            # with no membership check, so a continued N = 4k spectrum is summed too
+            got, want = classical_solution(system, s, np.inf), classical_solution(system, dense, np.inf)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            if v is not None and s.regime == "euclidean":
+                # K Q = J solved exactly; the float error is at most eps times K's condition number
+                exact = system.alpha / system.beta * (v - v.mean())
+                cond = s.eigenvalues[-1] / s.eigenvalues[1]
+                assert np.max(np.abs(got - exact)) <= EPS * cond * np.max(np.abs(exact))

@@ -24,6 +24,7 @@ from ladderfield.chain_complex import (
     validate_complex,
 )
 from ladderfield.errors import SccViolation
+from ladderfield.partition import classical_solution, euclidean_Z
 from ladderfield.scc import (
     build_operator,
     build_source,
@@ -32,6 +33,8 @@ from ladderfield.scc import (
     null_space_basis,
     verify_scc,
 )
+from ladderfield.spectral import ladder_spectrum_closed_form
+from ladderfield.twinslit import phase_decomposition
 
 K_SIX = np.array(
     [
@@ -376,6 +379,20 @@ def test_the_pipeline_leaves_the_dense_boundaries_unbuilt():
     assert callable(vars(system)["boundary"])
     # once read, the system's boundary is the complex's own dense d1
     assert system.boundary is c.d1 and not c.d1.flags.writeable
+
+
+def test_the_pipeline_leaves_the_spectrum_vectors_unbuilt():
+    # Z, the classical solution and the phase go through the DCT, never the N x N eigenvectors
+    n = 512
+    c = build_chain_complex(n)
+    v = np.arange(n) % 7 - 3
+    e = gradient_link_values(c, v)
+    system = build_system(c, 1, e, alpha=2, beta=3)
+    spectrum = ladder_spectrum_closed_form(n, beta=3)
+    z = euclidean_Z(system, spectrum)
+    classical_solution(system, spectrum)
+    assert_allclose(phase_decomposition(e, n, 2, 1.0, 3).total, z.exponent_term, rtol=1e-9)
+    assert callable(vars(spectrum)["eigenvectors"])
 
 
 @pytest.mark.parametrize(

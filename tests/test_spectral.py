@@ -10,8 +10,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import subspace_angles
 
+from ladderfield import _ladder_transform
+from ladderfield._ladder_transform import column_signs, cosine_block
 from ladderfield.chain_complex import build_chain_complex
-from ladderfield.scc import build_operator, null_space_basis
+from ladderfield.partition import classical_solution, euclidean_Z, project_source
+from ladderfield.scc import build_operator, build_system, gradient_link_values, null_space_basis
 from ladderfield.spectral import (
     continue_to_lorentzian,
     ladder_spectrum_closed_form,
@@ -263,6 +266,20 @@ def _reference_bookkeeping(vals, vecs, parity):
     return vals, vecs, tuple(parity[i] for i in order), zero, tuple(map(tuple, groups))
 
 
+@pytest.mark.parametrize("six_columns", [False, True], ids=["default_blocks", "six_columns_a_block"])
+def test_column_signs_are_bitwise_the_per_column_loop(monkeypatch, six_columns):
+    # Entries of equal exact magnitude differ in cos's last bit, and that decides
+    # the pivot: a rule on exact values ("the first of the tied entries") gives
+    # other signs at 594 of the 599 even sizes 4 <= N <= 1200.
+    for n in [*range(4, 401, 2), 1200]:
+        half = n // 2
+        if six_columns:
+            monkeypatch.setattr(_ladder_transform, "_BLOCK_ENTRIES", 6 * half)
+        block = cosine_block(n, np.arange(half))
+        fixed = _reference_bookkeeping(np.arange(half), block, [None] * half)[1]
+        assert_array_equal(block * column_signs(n), fixed)
+
+
 def _reference_closed_form(n, beta):
     """The per-mode construction of the closed form, with its own sort and sign rule.
 
@@ -402,6 +419,43 @@ def test_copies_round_trip_before_and_after_the_first_read(copy_of, read_first):
         c = copy_of(s)
         _same_fields(c, s)  # the copy is read first: it builds from its own builders
         assert not (c.eigenvalues.flags.writeable or c.eigenvectors.flags.writeable)
+
+
+def _ladder_system(n, beta):
+    c = build_chain_complex(n)
+    return build_system(c, 1, gradient_link_values(c, np.arange(n) % 5 - 2), alpha=2, beta=beta)
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_keep_the_transform_route_and_read_only_arrays(copy_of):
+    n = 14  # not a multiple of 4: J stays in the continued operator's row space
+    system = _ladder_system(n, 2.5)
+    closed = ladder_spectrum_closed_form(n, beta=2.5)
+    for s in (closed, continue_to_lorentzian(closed, n)):
+        want = project_source(system.J, s)  # builds the signs, not the vectors
+        c = copy_of(s)
+        assert_array_equal(c._basis.modes, s._basis.modes)
+        assert not (c._basis.modes.flags.writeable or c._basis.signs.flags.writeable)
+        assert not (s._basis.modes.flags.writeable or s._basis.signs.flags.writeable)
+        assert_array_equal(project_source(system.J, c), want)
+        classical_solution(system, c)
+        assert callable(vars(c)["eigenvectors"])
+
+
+def test_replace_projects_on_the_callers_vectors():
+    n = 10
+    system = _ladder_system(n, 3)
+    s = ladder_spectrum_closed_form(n, beta=3)
+    J = np.asarray(system.J, dtype=float)
+    for r in (replace(s), replace(s, eigenvectors=-s.eigenvectors)):
+        assert not hasattr(r, "_basis")
+        assert_array_equal(project_source(J, r), np.einsum("ij,i->j", r.eigenvectors, J))
+    unit = replace(s, eigenvectors=np.eye(n))
+    assert_array_equal(project_source(system.J, unit), system.J)
+    with pytest.raises(ValueError, match="zero mode"):
+        euclidean_Z(system, unit)  # J has a component along the constant mode's column e_0
 
 
 def test_replace_takes_the_vectors_as_given():

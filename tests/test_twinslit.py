@@ -6,6 +6,7 @@ cross-check rather than the same computation twice.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ def mode_sum_phase(e, n, alpha, hbar, beta, regime):
     s = ladder_spectrum_closed_form(n, beta=beta)
     if regime == "lorentzian":
         s = continue_to_lorentzian(s, n)
+    s = replace(s)  # without its DCT basis: the projection reads the dense eigenvectors
     keep = list(s.nonzero_modes)
     tilde = project_source(J, s)[keep]
     return phase_exponent(tilde, s.eigenvalues[keep] / s.beta, hbar, beta)
@@ -74,6 +76,50 @@ def test_two_routes_agree_for_random_links(n, regime):
         total = phase_decomposition(e, n, alpha, hbar, beta, regime=regime).total
         reference = mode_sum_phase(e, n, alpha, hbar, beta, regime)
         assert abs(total - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
+def dense_phase_parts(e, n, alpha, regime):
+    """(phi_spatial, phi_temporal, mixed numerators, mixed denominators) from
+    the (N/2)^2 sine and cosine matrices, as the closed form was first written."""
+    half = n // 2
+    e_left, e_right, e_spatial = split_links(e, n)
+    j = np.arange(1, half)
+    sines = np.sin(2.0 * np.pi * np.outer(j, j) / n)
+    cosines = np.cos(np.outer(j, 2 * np.arange(1, half + 1) - 1) * np.pi / n)
+    sign = 1.0 if regime == "euclidean" else -1.0
+    phi_spatial = sign * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
+    phi_temporal = (2.0 * alpha**2 / n) * float(np.sum((sines @ (e_left + e_right)) ** 2))
+    s_j = np.sin(j * np.pi / n)
+    numerators = s_j * (sines @ (e_left - e_right)) + cosines @ e_spatial
+    return phi_spatial, phi_temporal, numerators, sign + 2.0 * s_j**2
+
+
+@pytest.mark.parametrize("n", range(4, 401, 2))
+def test_phase_decomposition_matches_the_dense_trigonometric_sums(n):
+    rng = np.random.default_rng(n)
+    alpha, hbar, beta = 1.3, 0.9, 1.7
+    for e in (rng.normal(size=3 * n // 2 - 2), uniform_link_values(n, 0.8, 0.3)):
+        for regime in ("euclidean", "lorentzian"):
+            phi_spatial, phi_temporal, numerators, denominators = dense_phase_parts(e, n, alpha, regime)
+            keep = np.ones(numerators.size, dtype=bool)
+            if regime == "lorentzian" and n % 4 == 0:
+                singular = n // 4 - 1
+                if abs(numerators[singular]) > 1e-9 * max(1.0, float(np.max(np.abs(e)))) * n:
+                    with pytest.raises(GaugeObstruction):
+                        phase_decomposition(e, n, alpha, hbar, beta, regime=regime)
+                    continue
+                keep[singular] = False
+            phi_mixed = float(np.sum((4.0 * alpha**2 / n) * numerators[keep] ** 2 / denominators[keep]))
+            parts = phase_decomposition(e, n, alpha, hbar, beta, regime=regime)
+            assert_allclose(parts.phi_spatial, phi_spatial, rtol=1e-12, atol=0)
+            assert_allclose(parts.phi_temporal, phi_temporal, rtol=1e-12, atol=0)
+            # a uniform configuration's mixed term vanishes exactly: compared on the scale of the links
+            scale = 1e-12 * alpha**2 * n * float(np.max(np.abs(e))) ** 2
+            assert_allclose(parts.phi_mixed, phi_mixed, rtol=1e-12, atol=scale)
+            # the Lorentzian spatial term has the other sign: the total is relative to the parts' sizes
+            total = (phi_spatial + phi_temporal + phi_mixed) / (2.0 * hbar * beta)
+            size = (abs(phi_spatial) + phi_temporal + abs(phi_mixed)) / (2.0 * hbar * beta)
+            assert abs(parts.total - total) <= 1e-12 * size
 
 
 def test_decomposition_parts_sum_to_total():
