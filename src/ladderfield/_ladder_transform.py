@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain_complex import _BuiltOnFirstRead, _frozen, _ReadOnlyState
 
-#: Entries of the largest cosine block column_signs builds at once.
+#: Entries of the largest block of columns pivot_signs reads at once.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -53,23 +53,30 @@ def dst1(y: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(padded, 2 * padded.shape[-1])[..., 1 : padded.shape[-1]].imag
 
 
-def cosine_block(n: int, j: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def cosine_block(n: int, j: np.ndarray) -> np.ndarray:
     """Columns x_j for the modes j: sqrt(2/n) cos((2k + 1) j pi / n) for k < n/2, and sqrt(1/n) at j = 0."""
-    x = np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * np.arange(n // 2) + 1, j) * np.pi / n), out=out)
+    x = np.sqrt(2.0 / n) * np.cos(np.outer(2 * np.arange(n // 2) + 1, j) * np.pi / n)
     x[:, j == 0] = np.sqrt(1.0 / n)
     return x
 
 
+def pivot_signs(columns, shape: tuple[int, int]) -> np.ndarray:
+    """+-1 per column: the sign of its largest-magnitude entry as rounded to float, the first of equal floats.
+
+    ``columns(s)`` gives the columns in slice s of a matrix of ``shape``; they are
+    read at most _BLOCK_ENTRIES entries at a time, never as one whole-matrix temporary.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(shape[0], 1))
+    signs = np.empty(shape[1])
+    for start in range(0, shape[1], step):
+        x = columns(slice(start, start + step))
+        signs[start : start + step] = np.where(x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])] < 0, -1.0, 1.0)
+    return signs
+
+
 def column_signs(n: int) -> np.ndarray:
-    """-1 for each x_j that spectral._sign_fix flips, else +1: the same floats, a block of columns at a time."""
-    half = n // 2
-    step = max(1, _BLOCK_ENTRIES // half)
-    signs = np.empty(half)
-    for start in range(0, half, step):
-        j = np.arange(start, min(start + step, half))
-        x = cosine_block(n, j)
-        signs[j] = np.where(x[np.argmax(np.abs(x), axis=0), j - start] < 0, -1.0, 1.0)
-    return _frozen(signs)
+    """The pivot sign of each x_j, from one block of its cosines at a time."""
+    return _frozen(pivot_signs(lambda s: cosine_block(n, np.arange(n // 2)[s]), (n // 2, n // 2)))
 
 
 class LadderBasis(_ReadOnlyState):
@@ -89,6 +96,15 @@ class LadderBasis(_ReadOnlyState):
         """x's component along each column, or along its mode before the sign fix."""
         p = (dct2(rails(x)) * self._scale()).T.ravel()[self.modes]
         return p * self.signs[self.modes // 2] if signed else p
+
+    def vectors(self) -> np.ndarray:
+        """Every column, signed: [x_j; x_j] for mode 2j, [x_j; -x_j] for mode 2j + 1."""
+        half = self.modes.size // 2
+        x = cosine_block(self.modes.size, np.arange(half))
+        x *= pivot_signs(lambda s: x[:, s], x.shape)
+        vecs = x[np.arange(2 * half)[:, None] % half, self.modes // 2]  # [x_j; x_j] in mode order
+        vecs[half:] *= np.where(self.modes % 2, -1.0, 1.0)
+        return _frozen(vecs)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """The sum of coeffs[i] times column i's mode, before its sign fix."""

@@ -101,7 +101,7 @@ def _finite(what: str, build):
 def check_n(n_vertices) -> int:
     """The ladder vertex count as an int; ValueError unless it is an even integer >= 4."""
     n = n_vertices
-    if n != int(n) or n < 4 or n % 2:
+    if not -math.inf < n < math.inf or n != int(n) or n < 4 or n % 2:  # int() refuses inf and NaN
         raise ValueError(f"vertex count must be an even integer >= 4, got {n_vertices!r}")
     return int(n)
 
@@ -484,6 +484,8 @@ def parse_graph(text: str) -> LadderGraph:
         if not lm:
             raise ValueError(f"bad link line: {ln!r}")
         idx = int(lm.group(1))
+        if idx in seen:
+            raise ValueError(f"link {idx} is recorded more than once")
         seen[idx] = Link(int(lm.group(2)), int(lm.group(3)), lm.group(4))
 
     expected = {i: link for i, link in enumerate(graph.links, start=1)}

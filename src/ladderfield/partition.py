@@ -36,7 +36,7 @@ import numpy as np
 from .chain_complex import _finite, check_finite
 from .errors import RowSpaceError
 from .scc import SccSystem
-from .spectral import Spectrum
+from .spectral import Spectrum, _project, _synthesize
 
 #: Default relative tolerance for the row-space membership check.
 ROW_SPACE_RTOL = 1e-9
@@ -75,26 +75,18 @@ def _check_mode(spectrum: Spectrum, mode) -> None:
 
 
 def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float, signed: bool = True) -> np.ndarray:
-    """J's components in spectrum order; RowSpaceError for a zero-mode one above row_space_tol * |J|.
-
-    A closed-form or continued spectrum projects through the DCT, and with
-    ``signed`` False skips its sign fix: enough for a component that is
-    squared, or multiplies its own column.
-    """
+    """J's components in spectrum order (``signed`` as in spectral._project); RowSpaceError
+    for a zero-mode one above row_space_tol * |J|."""
     J = np.asarray(J, dtype=float)
     if J.shape != (spectrum.n_modes,):
         raise ValueError(f"source has shape {J.shape}, expected ({spectrum.n_modes},)")
     check_finite(J, "source entries")
-    basis = getattr(spectrum, "_basis", None)
-    if basis is None:
-        # einsum keeps this off the threaded matmul path, so outputs are
-        # bitwise stable regardless of BLAS thread count
-        proj = np.einsum("ij,i->j", spectrum.eigenvectors, J)
-    else:
-        proj = _finite("source projection", lambda: basis.project(J, signed))
+    proj = _project(spectrum, J, signed)
     if spectrum.zero_modes and row_space_tol < np.inf:  # numpy.inf skips the check
         worst = float(np.max(np.abs(proj[list(spectrum.zero_modes)])))
-        if worst > row_space_tol * max(float(np.linalg.norm(J)), 1e-300):
+        # in units of a power of two near max|J|: each division is exact, and |J| cannot overflow
+        unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(J))))[1] - 1)
+        if worst / unit > row_space_tol * max(float(np.linalg.norm(J / unit)), 1e-300 / unit):
             raise RowSpaceError(
                 "source violates self-consistency: component "
                 f"{worst:.6e} along a zero mode (gauge-volume divergence)"
@@ -134,7 +126,7 @@ def euclidean_Z(
     already projected the source).
     """
     jt, a = _retained(system, spectrum, row_space_tol, signed=False)
-    exponent = float(np.sum(jt**2 / (2.0 * a)))
+    exponent = _finite("Z exponent", lambda: float(np.sum(jt**2 / (2.0 * a))))
     log_mag = float(0.5 * np.sum(np.log(2.0 * np.pi / a))) + exponent
     return PartitionResult(
         log_magnitude=log_mag,
@@ -180,10 +172,7 @@ def classical_solution(
     keep = _nonzero_mask(spectrum)
     coeffs = np.zeros(spectrum.n_modes)
     coeffs[keep] = proj[keep] / spectrum.eigenvalues[keep]
-    basis = getattr(spectrum, "_basis", None)
-    if basis is None:
-        return np.einsum("ij,j->i", spectrum.eigenvectors, coeffs)
-    return basis.synthesize(coeffs)
+    return _synthesize(spectrum, coeffs)
 
 
 def _log_mean_exp(log_terms: np.ndarray) -> float:

@@ -40,7 +40,7 @@ from .chain_complex import (
     check_square,
     check_symmetric,
 )
-from ._ladder_transform import LadderBasis, cosine_block, ladder_eigenvalues
+from ._ladder_transform import LadderBasis, ladder_eigenvalues, pivot_signs
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -74,8 +74,8 @@ class Spectrum(_LazyFields):
     is kept, so a caller that reads only eigenvalues never pays for them.
     ``repr`` leaves both out, and ``==`` is identity, so neither builds them.
 
-    A closed-form or continued spectrum also keeps a DCT basis, through which
-    partition reads its modes without building the vectors; one made by
+    A closed-form or continued spectrum also keeps a DCT basis, which builds
+    its vectors and projects on its modes without them; one made by
     ``dataclasses.replace`` or this constructor keeps none and uses its own.
     """
 
@@ -119,14 +119,8 @@ def _degeneracy_groups(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's largest-magnitude float, the first of equal ones, is positive.
-
-    One column at a time: a copy, or one whole-matrix argmax, raises peak memory.
-    """
-    for i in range(vecs.shape[1]):
-        pivot = int(np.argmax(np.abs(vecs[:, i])))
-        if vecs[pivot, i] < 0:
-            vecs[:, i] = -vecs[:, i]
+    """Flip columns in place so each one's largest-magnitude float, the first of equal ones, is positive."""
+    vecs *= pivot_signs(lambda s: vecs[:, s], vecs.shape)
     return vecs
 
 
@@ -139,43 +133,31 @@ def _columns_in_order(build_vecs, order: np.ndarray) -> np.ndarray:
     return _frozen(np.asarray(build_vecs(), dtype=float)[:, order])
 
 
-def _assemble(vals, build_vecs, parity, beta, regime, modes=None) -> Spectrum:
+def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:
     """Sort the modes stably by eigenvalue.
 
-    ``build_vecs`` is a zero-argument builder of the sign-fixed vectors in
-    the order of ``vals``; it runs, and the columns are sorted, only when
-    the eigenvectors are first read, and the degeneracy groups likewise.
-    Builders are module-level functions bound by ``partial``, so a
-    Spectrum pickles before its first read as after it.  ``modes`` gives
-    the closed-form mode of each value, kept as the spectrum's basis.
+    ``vecs`` is a zero-argument builder of the sign-fixed vectors in the
+    order of ``vals``, run (and the columns sorted) on the first read of the
+    eigenvectors, or the closed-form mode of each value, kept as the basis
+    that builds them; the degeneracy groups are built on first read too.
+    A builder is a ``partial`` of a module-level function or the basis's
+    method, so a Spectrum pickles before its first read as after it.
     """
     order = np.argsort(vals, kind="stable")
     vals = _frozen(np.asarray(vals, dtype=float)[order])
+    basis = None if callable(vecs) else LadderBasis(vecs[order])
     spectrum = Spectrum(
         eigenvalues=vals,
-        eigenvectors=partial(_columns_in_order, build_vecs, order),
+        eigenvectors=partial(_columns_in_order, vecs, order) if basis is None else basis.vectors,
         parity=tuple(parity[i] for i in order),
         zero_modes=_zero_mode_indices(vals),
         degeneracy_groups=partial(_degeneracy_groups, vals),
         beta=float(beta),
         regime=regime,
     )
-    if modes is not None:  # an instance attribute, not a field, so replace() drops it
-        object.__setattr__(spectrum, "_basis", LadderBasis(modes[order]))
+    if basis is not None:  # an instance attribute, not a field, so replace() drops it
+        object.__setattr__(spectrum, "_basis", basis)
     return spectrum
-
-
-def _closed_form_vectors(n: int) -> np.ndarray:
-    """Sign-fixed closed-form eigenvectors, mode j in columns 2j (symmetric) and 2j + 1."""
-    half = n // 2
-    vecs = np.empty((n, n))
-    x = cosine_block(n, np.arange(half), out=vecs[:half, 0::2])  # column j is the half-vector x_j
-    # the pivot of [x_j; +-x_j] and its sign both lie in x_j, so fixing x fixes every column
-    _sign_fix(x)
-    vecs[half:, 0::2] = x
-    vecs[:half, 1::2] = x
-    np.negative(x, out=vecs[half:, 1::2])
-    return vecs
 
 
 def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
@@ -187,10 +169,7 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     n = check_n(n_vertices)
     beta = check_coupling(beta)
     vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(n))
-    return _assemble(
-        vals, partial(_closed_form_vectors, n), [SYMMETRIC, ANTISYMMETRIC] * (n // 2), beta, "euclidean",
-        modes=np.arange(n),
-    )
+    return _assemble(vals, np.arange(n), [SYMMETRIC, ANTISYMMETRIC] * (n // 2), beta, "euclidean")
 
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
@@ -270,8 +249,25 @@ def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
         )
     antisymmetric = np.array(spectrum.parity) == ANTISYMMETRIC
     vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
-    # the parent's vectors, read (and kept by the parent) only when these are
-    parent_vecs = partial(getattr, spectrum, "eigenvectors")
     basis = getattr(spectrum, "_basis", None)
-    modes = None if basis is None else basis.modes
-    return _assemble(vals, parent_vecs, spectrum.parity, spectrum.beta, "lorentzian", modes)
+    # a numeric parent's vectors, read (and kept by the parent) only when these are
+    vecs = partial(getattr, spectrum, "eigenvectors") if basis is None else basis.modes
+    return _assemble(vals, vecs, spectrum.parity, spectrum.beta, "lorentzian")
+
+
+def _project(spectrum: Spectrum, x: np.ndarray, signed: bool) -> np.ndarray:
+    """x's component along each column, through the spectrum's DCT basis (``signed`` as in
+    LadderBasis.project) or, with none, by an einsum: off the threaded matmul path, so no bit
+    depends on the BLAS thread count.  ValueError past the float range."""
+    basis = getattr(spectrum, "_basis", None)
+    if basis is None:
+        return _finite("source projection", lambda: np.einsum("ij,i->j", spectrum.eigenvectors, x))
+    return _finite("source projection", lambda: basis.project(x, signed))
+
+
+def _synthesize(spectrum: Spectrum, coeffs: np.ndarray) -> np.ndarray:
+    """The sum of coeffs[i] times column i, as an unsigned _project reads the columns."""
+    basis = getattr(spectrum, "_basis", None)
+    if basis is None:
+        return _finite("mode sum", lambda: np.einsum("ij,j->i", spectrum.eigenvectors, coeffs))
+    return _finite("mode sum", lambda: basis.synthesize(coeffs))

@@ -288,6 +288,13 @@ def test_parse_rejects_tampered_link():
         parse_graph(bad)
 
 
+def test_parse_rejects_a_repeated_link_record():
+    text = serialize_graph(build_ladder_graph(4))
+    bad = text.replace("link 1 1 2 temporal", "link 1 9 9 temporal\nlink 1 1 2 temporal")
+    with pytest.raises(ValueError, match="^link 1 is recorded more than once$"):
+        parse_graph(bad)
+
+
 def test_parse_rejects_wrong_link_count():
     text = serialize_graph(build_ladder_graph(4))
     lines = [ln for ln in text.splitlines() if not ln.startswith("link 4 ")]

@@ -4,6 +4,7 @@ range of exact arithmetic, and the package's public names."""
 import inspect
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import ladderfield
 from ladderfield.chain_complex import build_chain_complex, build_ladder_graph, check_n
-from ladderfield.errors import SccViolation
+from ladderfield.errors import RowSpaceError, SccViolation
 from ladderfield.gauge_continuum import (
     fierz_pauli_apply,
     fierz_pauli_kernel,
@@ -26,7 +27,13 @@ from ladderfield.gauge_continuum import (
     output_divergence,
     sym_to_vec,
 )
-from ladderfield.partition import outcome_probability, project_source
+from ladderfield.partition import (
+    brute_force_Z,
+    classical_solution,
+    euclidean_Z,
+    outcome_probability,
+    project_source,
+)
 from ladderfield.scc import (
     SccSystem,
     build_operator,
@@ -72,7 +79,7 @@ N_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("n", [6.5, 7, 5, 2])
+@pytest.mark.parametrize("n", [6.5, 7, 5, 2, float("inf"), float("-inf"), float("nan")])
 @pytest.mark.parametrize("entry", sorted(N_ENTRY_POINTS))
 def test_every_entry_point_rejects_a_bad_vertex_count_the_same_way(entry, n):
     message = f"vertex count must be an even integer >= 4, got {n!r}"
@@ -212,6 +219,11 @@ def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
         PHASE_COUPLINGS[entry](**{name: value})
 
 
+def _huge_source_system(scale):
+    c = build_chain_complex(8)
+    return build_system(c, 1, gradient_link_values(c, [scale, 0, 0, 0, 0, 0, 0, 0]))
+
+
 @pytest.mark.parametrize(
     "call, what",
     [
@@ -225,11 +237,17 @@ def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
         (lambda: lorentzian_operator(np.eye(4) * 1e308, 1e308), "Lorentzian operator"),
         (lambda: lorentzian_operator(np.eye(4) * 1.7e308, -1e308), "Lorentzian operator"),
         (lambda: project_source(np.full(8, 1e308), ladder_spectrum_closed_form(8)), "source projection"),
+        (lambda: project_source(np.full(8, 1e308), replace(ladder_spectrum_closed_form(8))), "source projection"),
+        (lambda: project_source(np.full(8, 1e308), numeric_spectrum(build_operator(build_chain_complex(8), 1, 1))),
+         "source projection"),
+        (lambda: euclidean_Z(_huge_source_system(1e160), ladder_spectrum_closed_form(8)), "Z exponent"),
+        (lambda: euclidean_Z(_huge_source_system(1e200), ladder_spectrum_closed_form(8)), "Z exponent"),
     ],
     ids=[
         "large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow",
         "operator_large_beta", "closed_form_large_beta", "lorentzian_large_beta", "lorentzian_large_entry",
-        "projection_large_source",
+        "projection_large_source", "projection_large_source_replaced", "projection_large_source_numeric",
+        "z_exponent_source_1e160", "z_exponent_source_1e200",
     ],
 )
 def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
@@ -238,6 +256,19 @@ def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
     message = f"{what} is not finite: the inputs overflow the float range"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_partition_functions_take_a_source_whose_square_overflows(scale):
+    # |J|^2 leaves the float range; the row-space check compares in units near max|J|
+    s = ladder_spectrum_closed_form(8)
+    system = _huge_source_system(scale)
+    Q = classical_solution(system, s)
+    assert_allclose(Q, scale * classical_solution(_huge_source_system(1.0), s), rtol=1e-12)
+    assert math.isfinite(brute_force_Z(system, s, method="mc", budget=2000).log_magnitude)
+    assert outcome_probability(system, s, 1, 0.0) == 0.0  # the mode's mean lies near the scale
+    with pytest.raises(RowSpaceError, match="zero mode"):
+        euclidean_Z(replace(system, J=np.full(8, scale)), s)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -359,7 +359,7 @@ def test_lazy_fields_are_bitwise_the_eager_construction(beta):
         reference = _eager_closed_form(n, beta)
         s = ladder_spectrum_closed_form(n, beta=beta)
         continued = continue_to_lorentzian(s, n)
-        # the continuation is read first, so it is what builds its parent's vectors
+        # the continuation is read first: it builds its vectors from its own basis
         for spectrum, want in ((continued, _reference_continued(reference, beta)), (s, reference)):
             _assert_spectrum_is(spectrum, want)
             assert spectrum.eigenvectors.dtype == np.float64
@@ -375,6 +375,12 @@ def test_reading_the_eigenvalues_never_builds_the_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000  # one 4096 x 4096 float64 matrix is 134 MB
+
+
+def test_a_continued_spectrum_never_builds_its_parents_vectors():
+    parent = ladder_spectrum_closed_form(12, beta=2)
+    continue_to_lorentzian(parent, 12).eigenvectors
+    assert callable(vars(parent)["eigenvectors"])
 
 
 def test_a_lazy_field_is_built_once_and_stays_read_only():
@@ -515,6 +521,14 @@ def test_numeric_spectrum_and_null_basis_are_bitwise_the_loop_references(name):
     assert len(basis) == null.shape[1]
     for got, want in zip(basis, null.T):
         assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("columns", [1, 6])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_WITH_ZERO_MODES))
+def test_the_sign_rule_is_the_loop_across_block_boundaries(monkeypatch, name, columns):
+    # numeric_spectrum and null_space_basis read their columns in blocks, as column_signs does
+    monkeypatch.setattr(_ladder_transform, "_BLOCK_ENTRIES", columns * DEGENERATE_WITH_ZERO_MODES[name].shape[0])
+    test_numeric_spectrum_and_null_basis_are_bitwise_the_loop_references(name)
 
 
 @pytest.mark.parametrize("n", [*range(4, 60, 2), 128])
