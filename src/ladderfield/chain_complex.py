@@ -150,14 +150,16 @@ class _Nonzeros(_ReadOnlyState):
 
     A ChainComplex's boundaries group their entries by column, in ascending
     column order, so ``dot`` sums each row in ascending column order; ``T``
-    groups them by row.  Calling it builds the dense read-only matrix, so it
-    serves as the builder of a lazy dense field.
+    groups them by row.  ``zero`` is every other entry: 0, or -0.0 for a
+    float matrix scaled by a negative number.  Calling it builds the dense
+    read-only matrix, so it serves as the builder of a lazy dense field.
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    zero: float = 0
 
     def __post_init__(self):
         for a in (self.rows, self.cols, self.vals):
@@ -176,6 +178,8 @@ class _Nonzeros(_ReadOnlyState):
 
     def __call__(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=self.vals.dtype)
+        if np.signbit(self.zero):
+            m.fill(self.zero)
         m[self.rows, self.cols] = self.vals
         return _frozen(m)
 
@@ -186,7 +190,7 @@ class _Nonzeros(_ReadOnlyState):
     @property
     def T(self) -> "_Nonzeros":
         """The transpose, sharing the entry arrays."""
-        return _Nonzeros(self.shape[::-1], self.cols, self.rows, self.vals)
+        return _Nonzeros(self.shape[::-1], self.cols, self.rows, self.vals, self.zero)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """The matrix times the vector ``x``, in the dtype ``matrix @ x`` has."""
@@ -195,18 +199,14 @@ class _Nonzeros(_ReadOnlyState):
         return out
 
 
-def _max_row_l1(matrix: _Nonzeros | np.ndarray) -> int:
-    """The largest row L1 norm of an integer matrix, summed in uint64; a dense one is scanned whole."""
-    if isinstance(matrix, _Nonzeros):
-        sums = np.zeros(matrix.shape[0], dtype=np.uint64)
-        np.add.at(sums, matrix.rows, np.abs(matrix.vals).astype(np.uint64))
-        return int(sums.max(initial=0))
-    step = max(1, (1 << 16) // max(matrix.shape[1], 1))  # rows per block: |matrix| is no large temporary
-    blocks = (np.abs(matrix[i : i + step]).sum(axis=1, dtype=np.uint64) for i in range(0, len(matrix), step))
-    return max((int(b.max(initial=0)) for b in blocks), default=0)
+def _max_row_l1(matrix: _Nonzeros) -> int:
+    """The largest row L1 norm of an integer matrix, summed in uint64."""
+    sums = np.zeros(matrix.shape[0], dtype=np.uint64)
+    np.add.at(sums, matrix.rows, np.abs(matrix.vals).astype(np.uint64))
+    return int(sums.max(initial=0))
 
 
-def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | np.ndarray | None = None) -> bool:
+def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | None = None) -> bool:
     """Whether ``scalar * (matrix @ x)`` (or ``scalar * x``) runs in exact int64.
 
     It does for an Integral scalar and integer arrays; ValueError when
@@ -225,21 +225,48 @@ def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | np.ndarray | None = 
     return True
 
 
-def _product_of_nonzeros(a: _Nonzeros, b: _Nonzeros, dtype) -> np.ndarray:
-    """a @ b as a dense ``dtype`` array, summed over the pairs of nonzeros a[i, k], b[k, j].
+def _product(a: _Nonzeros, b: _Nonzeros, dtype) -> _Nonzeros:
+    """a @ b as ``dtype`` nonzeros, one entry per (i, j) that a pair a[i, k], b[k, j] reaches.
 
-    The work grows with the number of such pairs, not with the cube of the
-    size; an integer dtype gives the same integers as a dense ``a @ b``.
+    Each entry sums its pairs in the order ``_pairs`` lists them; pairs that
+    cancel leave an entry of 0.  Entries come in row-major order.  The work
+    grows with the number of pairs, not with the size of the product; an
+    integer dtype gives the same integers as a dense ``a @ b``.
     """
+    width = max(b.shape[1], 1)
+    keys, terms = _pairs(a, b, dtype, width)
+    # a stable sort keeps each entry's pairs in order; the running count of
+    # distinct keys numbers the entries
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    terms = terms[order]
+    del order  # each pair array is freed once read: they are the largest arrays here
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slot = np.cumsum(first)
+    slot -= 1
+    keys = keys[first]
+    vals = np.zeros(keys.size, dtype=dtype)
+    np.add.at(vals, slot, terms)
+    return _Nonzeros((a.shape[0], b.shape[1]), *np.divmod(keys, width), vals)
+
+
+def _pairs(a: _Nonzeros, b: _Nonzeros, dtype, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key i * width + j and the ``dtype`` term a[i, k] * b[k, j] of each pair of
+    nonzeros a[i, k], b[k, j]: a's nonzeros in their order, each with b's row k in b's order."""
     by_row = np.argsort(b.rows, kind="stable")
-    kb, jb, vb = b.rows[by_row], b.cols[by_row], b.vals[by_row]
+    kb = b.rows[by_row]
     count = np.bincount(kb, minlength=b.shape[0])[a.cols]  # partners of each nonzero of a
-    # pair each nonzero of a with the `count` nonzeros of b's row k, from the row's first on
-    first = np.repeat(np.arange(a.cols.size), count)
-    second = np.arange(first.size) + np.repeat(np.searchsorted(kb, a.cols) + count - np.cumsum(count), count)
-    m = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
-    np.add.at(m, (a.rows[first], jb[second]), a.vals[first].astype(dtype) * vb[second])
-    return m
+    # each nonzero of a pairs with the `count` nonzeros of b's row k, from the row's first on
+    partner = np.repeat(np.searchsorted(kb, a.cols) + count - np.cumsum(count), count)
+    partner += np.arange(partner.size)
+    partner = by_row[partner]  # b's own index of each partner
+    del by_row, kb
+    keys = b.cols[partner]
+    keys += np.repeat(a.rows * width, count)
+    terms = np.repeat(a.vals.astype(dtype), count)
+    terms *= b.vals[partner]
+    return keys, terms
 
 
 @dataclass(frozen=True)
@@ -439,9 +466,9 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
         ok = bool(np.all(sides == 4) and np.all(balance == 0))
         checks.append(ComplexCheck("plaquette-sides", ok, "each d2 column has four sign-balanced sides"))
 
-    comp = _product_of_nonzeros(d1, d2, np.result_type(d1.vals, d2.vals))
+    comp = _product(d1, d2, np.result_type(d1.vals, d2.vals)).vals
     ok = not np.any(comp)
-    worst = int(np.max(np.abs(comp))) if comp.size else 0
+    worst = int(np.max(np.abs(comp), initial=0))
     checks.append(ComplexCheck("boundary-of-boundary", ok, f"d1 @ d2 == 0 (max |entry| {worst})"))
 
     return ValidationReport(tuple(checks))

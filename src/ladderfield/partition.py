@@ -146,7 +146,8 @@ def outcome_probability(
     """Gaussian density of one retained mode coordinate at ``outcome``.
 
     This is the normalized distribution obtained by integrating out all
-    other modes: mean Jt_k / a_k, variance 1 / a_k.
+    other modes: mean Jt_k / a_k, variance 1 / a_k.  ValueError when the
+    density is not finite (a NaN outcome).
     """
     _check_mode(spectrum, mode)
     proj = _row_space_projection(system.J, spectrum, row_space_tol)
@@ -155,7 +156,11 @@ def outcome_probability(
         raise ValueError(f"non-Gaussian-convergent mode: eigenvalue {a:.6e} <= 0")
     jt = float(proj[mode])
     q = float(outcome)
-    return math.sqrt(a / (2.0 * math.pi)) * math.exp(-0.5 * q * q * a + jt * q - jt * jt / (2.0 * a))
+
+    def density():  # about the mean, so a large source and outcome give no inf - inf
+        dq = q - jt / a
+        return math.sqrt(a / (2.0 * math.pi)) * math.exp(-0.5 * a * dq * dq)
+    return _finite("outcome density", density)
 
 
 def classical_solution(
@@ -171,7 +176,7 @@ def classical_solution(
     proj = _row_space_projection(system.J, spectrum, row_space_tol, signed=False)
     keep = _nonzero_mask(spectrum)
     coeffs = np.zeros(spectrum.n_modes)
-    coeffs[keep] = proj[keep] / spectrum.eigenvalues[keep]
+    coeffs[keep] = _finite("mode sum", lambda: proj[keep] / spectrum.eigenvalues[keep])
     return _synthesize(spectrum, coeffs)
 
 

@@ -1,17 +1,22 @@
 """Self-consistent operator/source pairs on a chain complex.
 
 Given a boundary operator d of degree n, the quadratic-form kernel
-K = beta * d @ d.T is summed over the nonzeros of d (each column adds
-their outer product), and a source built from cell values e is
-J = alpha * d @ e, also summed over d's nonzeros.  Neither reads the
-dense d.  When e is itself the gradient of vertex values v
-(degree 1: e_link = v_head - v_tail), the pair satisfies the exact identity
+K = beta * d @ d.T is summed over the pairs of nonzeros of d, one entry
+per pair of cells that share a face (at most 4 per row on the ladder),
+and a source built from cell values e is J = alpha * d @ e, also summed
+over d's nonzeros.  Neither reads the dense d.  When e is itself the
+gradient of vertex values v (degree 1: e_link = v_head - v_tail), the
+pair satisfies the exact identity
 
     alpha * K @ v == beta * J
 
 which is what ``verify_scc`` checks -- in integer arithmetic whenever
 the inputs allow it.  K always annihilates the constant vector, and
 any J produced this way sums to zero (a divergence-free source).
+
+An SccSystem from build_system keeps K as those nonzeros, and
+``verify_scc`` reads only them; the dense N x N K is built on its first
+read.  A system given a dense K derives its nonzeros from that K.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from .chain_complex import (
     _finite,
     _frozen,
     _Nonzeros,
-    _product_of_nonzeros,
+    _product,
     _ReadOnlyState,
     check_coupling,
     check_finite,
+    check_square,
 )
 from .errors import SccViolation
 from .spectral import _sign_fix, _symmetric_eigh, _zero_mode_indices
@@ -46,42 +52,58 @@ def _select_boundary(c: ChainComplex, n: int) -> _Nonzeros:
     return c.nonzeros[n - 1]
 
 
-class _LazyBoundary(_ReadOnlyState):
+class _LazyArrays(_ReadOnlyState):
     # declared on a private base, so vars(SccSystem) lists no descriptor
+    K = _BuiltOnFirstRead()
     boundary = _BuiltOnFirstRead()
 
 
 @dataclass(frozen=True)
-class SccSystem(_LazyBoundary):
+class SccSystem(_LazyArrays):
     """Operator K, source J, the couplings that built them, and the boundary used.
 
     alpha scales the source (units of momentum), beta the operator
     (momentum per length), hbar the action quantum used by phase code.
-    ``boundary`` takes the dense matrix or a zero-argument builder of it;
-    build_system passes a builder, run on the first read, that reads the
-    complex's own dense boundary.  ``repr`` and ``==`` leave it out.
+    ``K`` and ``boundary`` each take the dense matrix or a zero-argument
+    builder of it, run on the first read.  build_system passes K's nonzeros,
+    which ``verify_scc`` reads in its place, and a builder of the complex's
+    own dense boundary.  A system given a dense K, by this constructor or
+    ``dataclasses.replace``, is checked on the nonzeros of that K.  ``repr``
+    leaves both out, and ``==`` leaves out the boundary.
     """
 
     n: int
     alpha: float
     beta: float
     hbar: float
-    K: np.ndarray
+    K: np.ndarray = field(repr=False)
     J: np.ndarray
     boundary: np.ndarray = field(repr=False, compare=False)
 
+    def __post_init__(self):
+        K = vars(self)["K"]
+        vars(self)["_nonzeros"] = K if isinstance(K, _Nonzeros) else None
+
     @property
     def size(self) -> int:
-        return self.K.shape[0]
+        return (self.K if self._nonzeros is None else self._nonzeros).shape[0]
+
+
+def _operator(c: ChainComplex, n: int, beta: float) -> _Nonzeros:
+    """The nonzeros of K = beta * d_n @ d_n.T; integer beta keeps them exact."""
+    d = _select_boundary(c, n)
+    exact = _exact_route(check_coupling(beta), d.vals, d)
+    gram = _product(d, d.T, np.int64 if exact else float)
+    if exact:  # bounded already
+        vals = gram.vals * int(beta)
+    else:
+        vals = _finite("operator beta * d @ d.T", lambda: gram.vals * float(beta))
+    return _Nonzeros(gram.shape, gram.rows, gram.cols, vals, zero=vals.dtype.type(0) * beta)
 
 
 def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
     """K = beta * d_n @ d_n.T, summed over d_n's nonzeros.  Integer beta keeps the result exact."""
-    d = _select_boundary(c, n)
-    exact = _exact_route(check_coupling(beta), d.vals, d)
-    K = _product_of_nonzeros(d, d.T, np.int64 if exact else float)
-    scale = lambda: np.multiply(K, int(beta) if exact else float(beta), out=K)  # in place: K is the one N x N array built
-    return _frozen(scale() if exact else _finite("operator beta * d @ d.T", scale))  # exact: bounded already
+    return _operator(c, n, beta)()
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
@@ -111,7 +133,7 @@ def build_system(
         alpha=alpha,
         beta=beta,
         hbar=hbar,
-        K=build_operator(c, n, beta),
+        K=_operator(c, n, beta),
         J=build_source(c, n, cell_values, alpha),
         boundary=partial(getattr, c, f"d{n}"),
     )
@@ -153,12 +175,15 @@ def verify_scc(system: SccSystem, vertex_values) -> SccReport:
     if v.shape != (system.size,):
         raise ValueError(f"vertex values have shape {v.shape}, expected ({system.size},)")
 
+    K = system._nonzeros
+    if K is None:
+        K = _Nonzeros.of(check_square(np.asarray(system.K)))
     J = system.J
-    exact = _exact_route(system.alpha, v, system.K) and _exact_route(system.beta, J)
+    exact = _exact_route(system.alpha, v, K) and _exact_route(system.beta, J)
     if not exact:
         v, J = v.astype(float), J.astype(float)
 
-    lhs = system.alpha * (system.K @ v)
+    lhs = system.alpha * K.dot(v)
     rhs = system.beta * J
     # subtract in float so an exact-route difference cannot wrap in int64
     diff = np.max(np.abs(np.subtract(lhs, rhs, dtype=float))) if lhs.size else 0.0
@@ -176,8 +201,8 @@ def verify_scc(system: SccSystem, vertex_values) -> SccReport:
             max_residual=max_residual,
         )
 
-    ones = np.ones(system.size, dtype=system.K.dtype if exact else float)
-    const_resid = float(np.max(np.abs(system.K @ ones)))
+    ones = np.ones(system.size, dtype=K.dtype if exact else float)
+    const_resid = float(np.max(np.abs(K.dot(ones))))
     return SccReport(
         max_identity_residual=max_residual,
         source_sum=float(np.sum(system.J)),

@@ -219,9 +219,9 @@ def test_phase_functions_refuse_a_zero_divisor(entry, name, value):
         PHASE_COUPLINGS[entry](**{name: value})
 
 
-def _huge_source_system(scale):
+def _huge_source_system(scale, beta=1.0):
     c = build_chain_complex(8)
-    return build_system(c, 1, gradient_link_values(c, [scale, 0, 0, 0, 0, 0, 0, 0]))
+    return build_system(c, 1, gradient_link_values(c, [scale, 0, 0, 0, 0, 0, 0, 0]), beta=beta)
 
 
 @pytest.mark.parametrize(
@@ -242,12 +242,14 @@ def _huge_source_system(scale):
          "source projection"),
         (lambda: euclidean_Z(_huge_source_system(1e160), ladder_spectrum_closed_form(8)), "Z exponent"),
         (lambda: euclidean_Z(_huge_source_system(1e200), ladder_spectrum_closed_form(8)), "Z exponent"),
+        (lambda: classical_solution(_huge_source_system(1e10, beta=1e-300), ladder_spectrum_closed_form(8, 1e-300)),
+         "mode sum"),
     ],
     ids=[
         "large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow",
         "operator_large_beta", "closed_form_large_beta", "lorentzian_large_beta", "lorentzian_large_entry",
         "projection_large_source", "projection_large_source_replaced", "projection_large_source_numeric",
-        "z_exponent_source_1e160", "z_exponent_source_1e200",
+        "z_exponent_source_1e160", "z_exponent_source_1e200", "classical_solution_small_beta",
     ],
 )
 def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
@@ -267,6 +269,11 @@ def test_partition_functions_take_a_source_whose_square_overflows(scale):
     assert_allclose(Q, scale * classical_solution(_huge_source_system(1.0), s), rtol=1e-12)
     assert math.isfinite(brute_force_Z(system, s, method="mc", budget=2000).log_magnitude)
     assert outcome_probability(system, s, 1, 0.0) == 0.0  # the mode's mean lies near the scale
+    # about the mean, the exponent has no inf - inf: finite at and past the scale, the peak at the mean
+    assert all(math.isfinite(outcome_probability(system, s, 1, q)) for q in (scale, 3 * scale))
+    a = float(s.eigenvalues[1])
+    mean = float(project_source(system.J, s)[1]) / a
+    assert_allclose(outcome_probability(system, s, 1, mean), math.sqrt(a / (2 * math.pi)), rtol=1e-12)
     with pytest.raises(RowSpaceError, match="zero mode"):
         euclidean_Z(replace(system, J=np.full(8, scale)), s)
 

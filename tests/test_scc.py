@@ -9,6 +9,8 @@ to demand bit-exact agreement where the contract promises it.
 import copy
 import pickle
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,16 +371,59 @@ def test_integer_routes_refuse_exactly_at_the_int64_bound(scale, alpha):
 
 
 def test_the_pipeline_leaves_the_dense_boundaries_unbuilt():
-    c = build_chain_complex(512)
-    v = np.arange(512) % 7 - 3
-    system = build_system(c, 1, gradient_link_values(c, v), alpha=2, beta=3)
+    n = 512
+    c = build_chain_complex(n)
+    v = np.arange(n) % 7 - 3
+    e = gradient_link_values(c, v)
+    system = build_system(c, 1, e, alpha=2, beta=3)
     assert verify_scc(system, v).exact
     assert validate_complex(c).passed
-    repr(c), repr(system)
+    spectrum = ladder_spectrum_closed_form(n, beta=3)
+    euclidean_Z(system, spectrum), classical_solution(system, spectrum)
+    phase_decomposition(e, n, 2, 1.0, 3)
+    repr(c), repr(system), system.size
     assert callable(vars(c)["d1"]) and callable(vars(c)["d2"])
-    assert callable(vars(system)["boundary"])
-    # once read, the system's boundary is the complex's own dense d1
+    assert callable(vars(system)["boundary"]) and callable(vars(system)["K"])
+    # once read, the system's boundary is the complex's own dense d1, and K its gram
     assert system.boundary is c.d1 and not c.d1.flags.writeable
+    assert_bitwise(system.K, 3 * (c.d1 @ c.d1.T))
+
+
+@pytest.mark.parametrize("beta", COUPLINGS)
+def test_a_built_system_reads_as_the_dense_operator(beta):
+    # the same dtype and the same signed zeros as build_operator, on both degrees
+    c = build_chain_complex(10)
+    for degree, d in ((1, c.d1), (2, c.d2)):
+        system = build_system(c, degree, np.arange(d.shape[1]) % 5 - 2, beta=beta)
+        assert_bitwise(system.K, build_operator(c, degree, beta))
+        assert system.size == d.shape[0]
+
+
+def test_verify_scc_checks_the_operator_the_system_holds():
+    c = build_chain_complex(8)
+    v = np.arange(8) % 3 - 1
+    system = build_system(c, 1, gradient_link_values(c, v), alpha=2, beta=3)
+    corrupted = system.K.copy()
+    corrupted[2, 5] += 1
+    with pytest.raises(SccViolation):
+        verify_scc(replace(system, K=corrupted), v)
+    # a dense K given back as it was passes as the nonzeros did
+    assert verify_scc(replace(system, K=system.K.copy()), v) == verify_scc(system, v)
+
+
+def test_build_system_and_verify_scc_stay_linear_at_a_million_vertices():
+    # a dense K at this size would take 8 TB
+    n = 10**6
+    c = build_chain_complex(n)
+    v = np.arange(n) % 7 - 3
+    e = gradient_link_values(c, v)
+    tracemalloc.start()
+    try:
+        assert verify_scc(build_system(c, 1, e, alpha=2, beta=3), v).exact
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300e6
 
 
 def test_the_pipeline_leaves_the_spectrum_vectors_unbuilt():
@@ -402,7 +447,7 @@ def test_a_copied_system_keeps_its_arrays_read_only(copy_of):
     c = build_chain_complex(8)
     v = np.arange(8)
     copied = copy_of(build_system(c, 1, gradient_link_values(c, v), alpha=2, beta=3))
-    assert callable(vars(copied)["boundary"])
+    assert callable(vars(copied)["boundary"]) and callable(vars(copied)["K"])
     assert not (copied.K.flags.writeable or copied.J.flags.writeable or copied.boundary.flags.writeable)
     assert_array_equal(copied.boundary, c.d1)
     assert verify_scc(copied, v).exact
