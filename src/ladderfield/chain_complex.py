@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -278,17 +279,26 @@ class Link:
     kind: str
 
 
+class _LazyGraph(_ReadOnlyState):
+    # declared on a private base, so vars(LadderGraph) lists no descriptor
+    links = _BuiltOnFirstRead()
+    plaquettes = _BuiltOnFirstRead()
+
+
 @dataclass(frozen=True)
-class LadderGraph:
+class LadderGraph(_LazyGraph):
     """A ladder graph with 1-based vertex ids and rail-major link order.
 
     ``plaquettes`` holds, per face, the four signed 1-based link indices
-    of its oriented boundary walk.
+    of its oriented boundary walk.  Each takes the tuple or a builder of it,
+    run on the first read.  build_ladder_graph passes builders and keeps the
+    links' (tail, head) rows, which serialize_graph formats.
     """
 
     n_vertices: int
     links: tuple[Link, ...]
     plaquettes: tuple[tuple[int, int, int, int], ...]
+    _ends: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_links(self) -> int:
@@ -338,9 +348,19 @@ def build_ladder_graph(n_vertices: int) -> LadderGraph:
     """
     n = check_n(n_vertices)
     ends, walks = _rail_major(n)
-    kinds = [TEMPORAL] * (n - 2) + [SPATIAL] * (n // 2)
-    links = tuple(map(Link, *ends.T.tolist(), kinds))
-    return LadderGraph(n, links, tuple(map(tuple, walks.tolist())))
+    graph = LadderGraph(n, partial(_links, _frozen(ends)), partial(_plaquettes, walks))
+    vars(graph)["_ends"] = ends
+    return graph
+
+
+def _links(ends: np.ndarray) -> tuple[Link, ...]:
+    """The Links of rail-major (tail, head) rows: N - 2 rail links, then N/2 rungs."""
+    rungs = (len(ends) + 2) // 3
+    return tuple(map(Link, *ends.T.tolist(), [TEMPORAL] * (len(ends) - rungs) + [SPATIAL] * rungs))
+
+
+def _plaquettes(walks: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(map(tuple, walks.tolist()))
 
 
 def _ladder_boundaries(n: int) -> tuple[_Nonzeros, _Nonzeros]:
@@ -481,12 +501,27 @@ _HEADER = re.compile(r"^ladder\s+N=(\d+)$")
 _LINK = re.compile(r"^link\s+(\d+)\s+(\d+)\s+(\d+)\s+(temporal|spatial)$")
 
 
+#: Links formatted per "%" operation by serialize_graph.
+_LINKS_PER_BLOCK = 1 << 12
+
+
 def serialize_graph(graph: LadderGraph) -> str:
     """Plain-text form: a header line, then one line per link."""
-    lines = [f"ladder N={graph.n_vertices}"]
-    for i, link in enumerate(graph.links, start=1):
-        lines.append(f"link {i} {link.tail} {link.head} {link.kind}")
-    return "\n".join(lines) + "\n"
+    if graph._ends is None:
+        lines = (f"link {i} {link.tail} {link.head} {link.kind}\n" for i, link in enumerate(graph.links, 1))
+    else:
+        blocks = range(0, len(graph._ends), _LINKS_PER_BLOCK)
+        lines = (_link_lines(graph._ends, first, graph.n_vertices - 2) for first in blocks)
+    return "".join([f"ladder N={graph.n_vertices}\n", *lines])
+
+
+def _link_lines(ends: np.ndarray, first: int, n_temporal: int) -> str:
+    """The lines of one block of links, from index ``first`` on, out of their (tail, head) rows."""
+    ends = ends[first : first + _LINKS_PER_BLOCK]
+    rails = min(max(n_temporal - first, 0), len(ends))
+    template = f"link %d %d %d {TEMPORAL}\n" * rails + f"link %d %d %d {SPATIAL}\n" * (len(ends) - rails)
+    numbers = np.column_stack((np.arange(first + 1, first + 1 + len(ends)), ends))
+    return template % tuple(numbers.ravel().tolist())
 
 
 def parse_graph(text: str) -> LadderGraph:

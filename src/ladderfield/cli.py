@@ -10,7 +10,7 @@ identical bytes.  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import re
 import sys
@@ -20,26 +20,11 @@ import numpy as np
 
 from . import __version__
 from .chain_complex import build_chain_complex, build_ladder_graph, serialize_graph
-from .gauge_continuum import (
-    fierz_pauli_apply,
-    fierz_pauli_kernel,
-    gauge_tensor,
-    maxwell_kernel,
-    minkowski_square,
-    null_residual,
-    sym_to_vec,
-)
+from .gauge_continuum import _gauge_residuals, minkowski_square
 from .partition import brute_force_Z, euclidean_Z
 from .scc import build_system, gradient_link_values, verify_scc
 from .spectral import continue_to_lorentzian, ladder_spectrum_closed_form
-from .twinslit import (
-    SlitGeometry,
-    TwinSlitConfig,
-    geometry_to_links,
-    interference_phase_difference,
-    nrqm_intensity,
-    path_difference,
-)
+from .twinslit import _fringe_sweep
 
 OUTPUT_DIR_ENV = "LADDERFIELD_OUTPUT_DIR"
 
@@ -48,6 +33,9 @@ PRESET_VERTICES = {"twin6": np.array([0, 2, 1, 4, 3, 7])}
 
 _SPECTRUM_HEADER = "index,eigenvalue,parity,is_zero_mode"
 _TWINSLIT_HEADER = "y,delta_phi,n_nearest,is_maximum,nrqm_intensity"
+#: Table rows, each formatted by one "%" operation: "%.12g" prints a float as _fmt does.
+_SPECTRUM_ROW = "%d,%.12g,%s,%s"
+_TWINSLIT_ROW = "%.12g,%.12g,%d,%s,%.12g"
 
 
 def _fmt(x) -> str:
@@ -67,13 +55,13 @@ def _number(text: str):
         return float(text)
 
 
+def _data_lines(path):
+    """The stripped lines of a file, skipping blank and '#' comment lines."""
+    return (line for line in map(str.strip, Path(path).read_text().splitlines()) if line and not line.startswith("#"))
+
+
 def _read_values(path: str) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(_number(line))
+    rows = list(map(_number, _data_lines(path)))
     if not rows:
         raise ValueError(f"no values found in {path}")
     if all(isinstance(r, int) for r in rows):
@@ -99,7 +87,7 @@ def _cmd_spectrum(args) -> list[str]:
     zero = set(spectrum.zero_modes)
     rows = enumerate(zip(spectrum.eigenvalues.tolist(), spectrum.parity))
     return [_SPECTRUM_HEADER] + [
-        f"{i},{_fmt(value)},{parity or ''},{_fmt(i in zero)}" for i, (value, parity) in rows
+        _SPECTRUM_ROW % (i, value, parity or "", _fmt(i in zero)) for i, (value, parity) in rows
     ]
 
 
@@ -126,11 +114,16 @@ def _resolve_vertices(args) -> np.ndarray:
 
 
 def _matrix_block(label: str, M: np.ndarray) -> list[str]:
-    # each entry is formatted once; a row is kept as one string, since N^2
-    # separate cell strings would raise the peak memory of large matrices
-    rows = [" ".join(map(_fmt, row.tolist())) for row in M]
-    width = max(len(cell) for row in rows for cell in row.split(" "))
-    return [label] + ["      " + " ".join(cell.rjust(width) for cell in row.split(" ")) for row in rows]
+    """The label, then M's rows with each cell right-justified to the widest.  Each distinct
+    entry is formatted once, keyed by its bits (so -0.0 keeps its own cell apart from 0.0);
+    blocks of about 2**18 cells keep the temporaries of a large M small."""
+    blocks = np.array_split(np.ascontiguousarray(M).view(f"u{M.itemsize}"), -(-M.size // 2**18))
+    keys = np.unique(np.concatenate([np.unique(block) for block in blocks]))
+    cells = [_fmt(x) for x in keys.view(M.dtype).tolist()]
+    width = max(map(len, cells))
+    padded = np.array([" " + cell.rjust(width) for cell in cells], dtype="S")
+    rows = (padded[np.searchsorted(keys, block)].view(np.uint8) for block in blocks)
+    return [label] + ["     " + row.tobytes().decode() for block in rows for row in block]
 
 
 def _cmd_scc(args) -> list[str]:
@@ -169,8 +162,7 @@ def _resolve_source(args):
     if preset is not None:
         return preset.size, gradient_link_values(build_chain_complex(preset.size), preset)
     e = _read_values(spec)
-    n_float = (e.size + 2) * 2 / 3  # links = 3N/2 - 2
-    n = int(round(n_float))
+    n = round((e.size + 2) * 2 / 3)  # links = 3N/2 - 2
     if 3 * n // 2 - 2 != e.size or n % 2:
         raise ValueError(f"{e.size} link values do not fit any ladder graph")
     if args.n is not None and args.n != n:
@@ -206,36 +198,13 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-#: Absolute phase slack (radians) for flagging a sweep row as an exact maximum.
-MAXIMUM_PHASE_TOL = 1e-9
-
-
 def _cmd_twinslit(args) -> list[str]:
-    lines = [_TWINSLIT_HEADER]
-    for y in _parse_range(args.y_range).tolist():
-        geometry = SlitGeometry(
-            slit_separation=args.d,
-            screen_distance=args.L,
-            detector_position=y,
-            wavelength=args.lam,
-        )
-        e_x, e_x_alt = geometry_to_links(geometry, args.n)
-        config = TwinSlitConfig.calibrated(
-            args.n, e_x, e_x_alt, e_T=1.0, lambda_hat=args.lam
-        )
-        dphi = interference_phase_difference(config)
-        if not math.isfinite(dphi):
-            raise ValueError(f"phase difference at y={_fmt(y)} is not finite")
-        if math.ulp(dphi) > MAXIMUM_PHASE_TOL:
-            raise ValueError(
-                f"phase difference at y={_fmt(y)} is {_fmt(dphi)} rad, too large to "
-                f"resolve a maximum: its float spacing exceeds {_fmt(MAXIMUM_PHASE_TOL)}"
-            )
-        nearest = int(round(dphi / (2.0 * math.pi)))
-        is_max = abs(dphi - 2.0 * math.pi * nearest) <= MAXIMUM_PHASE_TOL
-        intensity = nrqm_intensity(path_difference(geometry), args.lam)
-        lines.append(f"{_fmt(y)},{_fmt(dphi)},{nearest},{_fmt(is_max)},{_fmt(intensity)}")
-    return lines
+    ys = _parse_range(args.y_range).tolist()
+    rows = zip(ys, _fringe_sweep(args.n, args.d, args.L, args.lam, ys))
+    return [_TWINSLIT_HEADER] + [
+        _TWINSLIT_ROW % (y, dphi, nearest, _fmt(is_max), intensity)
+        for y, (dphi, nearest, is_max, intensity) in rows
+    ]
 
 
 #: Row labels of the gauge-check table, in the column order of its residual rows.
@@ -245,6 +214,8 @@ _GAUGE_CHECKS = (
     "fierz_pauli,gauge-annihilation",
     "fierz_pauli,transversality",
 )
+#: Trials evaluated per stack: bounds the memory of a large --trials.
+_TRIALS_PER_STACK = 1024
 
 
 def _cmd_gauge_check(args) -> list[str]:
@@ -256,28 +227,15 @@ def _cmd_gauge_check(args) -> list[str]:
             if abs(minkowski_square(k)) >= 0.1:
                 return k
 
-    residuals = [[0.0] * len(_GAUGE_CHECKS)]  # one row per trial; --trials 0 reports zeros
-    for _ in range(args.trials):
-        # draw order k, x, eps, H fixes the output for a seed
-        k = draw_momentum()
-        x = rng.normal(size=4)
-        eps = rng.normal(size=4)
-        H = rng.normal(size=(4, 4))
-        H = H + H.T
-        knorm = float(np.linalg.norm(k))
-        M = maxwell_kernel(k)
-        F = fierz_pauli_kernel(k)
-        div = float(k @ (M @ x))
-        div_t = k @ fierz_pauli_apply(k, H)
-        residuals.append([
-            null_residual(M, k),
-            abs(div) / (float(np.linalg.norm(M, 2)) * float(np.linalg.norm(x)) * knorm),
-            null_residual(F, sym_to_vec(gauge_tensor(k, eps))),
-            float(np.linalg.norm(div_t)) / (float(np.linalg.norm(F, 2)) * float(np.linalg.norm(H)) * knorm),
-        ])
-    worst = np.max(residuals, axis=0).tolist()
+    worst = np.zeros(len(_GAUGE_CHECKS))  # --trials 0 reports zeros
+    for first in range(0, args.trials, _TRIALS_PER_STACK):
+        # draw order k, x, eps, H per trial fixes the output for a seed
+        draws = [(draw_momentum(), rng.normal(size=4), rng.normal(size=4), rng.normal(size=(4, 4)))
+                 for _ in range(min(_TRIALS_PER_STACK, args.trials - first))]
+        k, x, eps, H = map(np.array, zip(*draws))
+        worst = np.maximum(worst, np.max(_gauge_residuals(k, x, eps, H + np.swapaxes(H, -1, -2)), axis=0))
     return ["kernel,property,max_residual"] + [
-        f"{check},{_fmt(value)}" for check, value in zip(_GAUGE_CHECKS, worst)
+        f"{check},{_fmt(value)}" for check, value in zip(_GAUGE_CHECKS, worst.tolist())
     ]
 
 
@@ -285,45 +243,27 @@ def _cmd_gauge_check(args) -> list[str]:
 # plot scripts
 
 
+#: The gnuplot lines of each plotted table after the shared preamble; {name} is the CSV's file name.
+_PLOTS = {
+    _SPECTRUM_HEADER: ("set xlabel 'mode index'", "set ylabel 'eigenvalue'", "set style data impulses",
+                       "plot '{name}' using 1:2 lw 2 title 'eigenvalue'"),
+    _TWINSLIT_HEADER: ("set xlabel 'detector position'", "set ylabel 'intensity'",
+                       "plot '{name}' using 1:5 with lines title 'reference intensity'"),
+}
+
+
 def emit_plot_script(csv_path) -> Path:
     """Write a gnuplot script next to the CSV, dispatching on its header row."""
     csv_path = Path(csv_path)
-    header = None
-    for line in csv_path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            header = line
-            break
+    header = next(_data_lines(csv_path), None)
     if header is None:
         raise ValueError(f"{csv_path} contains no header row")
 
-    name = csv_path.name
-    if header == _SPECTRUM_HEADER:
-        body = "\n".join(
-            [
-                "set datafile separator ','",
-                "set key autotitle columnhead",
-                "set xlabel 'mode index'",
-                "set ylabel 'eigenvalue'",
-                "set style data impulses",
-                f"plot '{name}' using 1:2 lw 2 title 'eigenvalue'",
-            ]
-        )
-    elif header == _TWINSLIT_HEADER:
-        body = "\n".join(
-            [
-                "set datafile separator ','",
-                "set key autotitle columnhead",
-                "set xlabel 'detector position'",
-                "set ylabel 'intensity'",
-                f"plot '{name}' using 1:5 with lines title 'reference intensity'",
-            ]
-        )
-    else:
+    if header not in _PLOTS:
         raise ValueError(f"no plot defined for schema: {header}")
-
+    lines = ["set datafile separator ','", "set key autotitle columnhead", *_PLOTS[header]]
     script_path = csv_path.with_suffix(".gp")
-    script_path.write_text(body + "\n")
+    script_path.write_text("\n".join(lines).format(name=csv_path.name) + "\n")
     return script_path
 
 
@@ -407,15 +347,21 @@ def _resolve_output(raw: str | None) -> Path | None:
     return path
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "gnuplot", False) and args.output is None:
         parser.error("--gnuplot requires --output")
 
     try:
-        lines = [f"# version={__version__}", f"# seed={args.seed}", *args.func(args)]
-        text = "\n".join(lines) + "\n"
+        # one join, with the trailing newline: no line outlives it, and no second copy of the text
+        text = "\n".join([f"# version={__version__}", f"# seed={args.seed}", *args.func(args), ""])
         out = _resolve_output(args.output)
         if out is None:
             sys.stdout.write(text)

@@ -66,21 +66,41 @@ def _kernel(kernel) -> np.ndarray:
     return check_finite(kernel, "kernel entries")
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, one BLAS dot per vector, as a 1-D ``a @ b`` rounds.  The
+    private helpers below all take checked stacks along the leading axes this way: each
+    item gets the BLAS or LAPACK call it would alone, so it is bitwise its single call."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The 2-norm along the last axis, rounded as np.linalg.norm of each vector."""
+    return np.sqrt(_dots(v, v))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
+
+
 def minkowski_square(k) -> float:
     """k^2 = k.eta.k for an upper-index four-vector."""
     k = _four_vector(k)
-    return float(_finite("Minkowski square", lambda: k @ MINKOWSKI @ k))
+    return float(_finite("Minkowski square", lambda: _dots(k @ MINKOWSKI, k)))
 
 
 def lower_index(k) -> np.ndarray:
-    return MINKOWSKI @ _four_vector(k)
+    return _four_vector(k) @ MINKOWSKI
 
 
 def maxwell_kernel(k) -> np.ndarray:
     """Covariant matrix -k^2 eta + k (x) k (both indices lowered)."""
     k = _four_vector(k)
-    k_lo = MINKOWSKI @ k
-    return _finite("Maxwell kernel", lambda: -(k @ MINKOWSKI @ k) * MINKOWSKI + np.outer(k_lo, k_lo))
+    return _finite("Maxwell kernel", lambda: _maxwell(k))
+
+
+def _maxwell(k: np.ndarray) -> np.ndarray:
+    k_lo = k @ MINKOWSKI
+    return -_dots(k_lo, k)[..., None, None] * MINKOWSKI + _outer(k_lo, k_lo)
 
 
 def fierz_pauli_apply(k, h) -> np.ndarray:
@@ -90,18 +110,19 @@ def fierz_pauli_apply(k, h) -> np.ndarray:
 
 
 def _fierz_pauli(k: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """fierz_pauli_apply for a checked four-vector and checked symmetric tensors."""
-    k_lo = MINKOWSKI @ k
-    k2 = float(k @ k_lo)
+    """fierz_pauli_apply for checked four-vectors k[..., 4] and symmetric tensors h[..., 4, 4]
+    whose leading axes broadcast."""
+    k_lo = k @ MINKOWSKI
+    k2 = _dots(k, k_lo)[..., None, None]
     # eta inverse has the same entries
     trace = np.einsum("ab,...ab->...", MINKOWSKI, h)[..., None, None]
-    kh = k @ h  # k^a h_{a nu}
-    khk = kh[..., None, :] @ k[:, None]  # one dot per tensor: rounds as k @ h @ k does
+    kh = k[..., None, :] @ h  # k^a h_{a nu}, as a row
+    khk = kh @ k[..., :, None]  # one dot per tensor: rounds as k @ h @ k does
     return 0.5 * (
         k2 * h
-        + np.outer(k_lo, k_lo) * trace
-        - k_lo[:, None] * kh[..., None, :]
-        - kh[..., :, None] * k_lo
+        + _outer(k_lo, k_lo) * trace
+        - k_lo[..., :, None] * kh
+        - np.swapaxes(kh, -1, -2) * k_lo[..., None, :]
         - MINKOWSKI * (k2 * trace)
         + MINKOWSKI * khk
     )
@@ -137,15 +158,23 @@ def fierz_pauli_kernel(k) -> np.ndarray:
     path, and round the same way, on every call.
     """
     k = _four_vector(k)
-    kernel = lambda: np.einsum("pab,qab->pq", SYMMETRIC_BASIS, _fierz_pauli(k, SYMMETRIC_BASIS))
-    return _finite("Fierz-Pauli kernel", kernel)
+    return _finite("Fierz-Pauli kernel", lambda: _fierz_pauli_kernel(k))
+
+
+def _fierz_pauli_kernel(k: np.ndarray) -> np.ndarray:
+    applied = _fierz_pauli(k[..., None, :], SYMMETRIC_BASIS)
+    return np.einsum("pab,...qab->...pq", SYMMETRIC_BASIS, applied)
 
 
 def gauge_tensor(k, eps) -> np.ndarray:
     """The pure-gauge symmetric tensor k_a eps_b + k_b eps_a (lower indices)."""
-    k_lo = lower_index(k)
-    e_lo = MINKOWSKI @ _four_vector(eps, "gauge parameter")
-    return _finite("gauge tensor", lambda: np.outer(k_lo, e_lo) + np.outer(e_lo, k_lo))
+    k, eps = _four_vector(k), _four_vector(eps, "gauge parameter")
+    return _finite("gauge tensor", lambda: _gauge_tensor(k, eps))
+
+
+def _gauge_tensor(k: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    k_lo, e_lo = k @ MINKOWSKI, eps @ MINKOWSKI
+    return _outer(k_lo, e_lo) + _outer(e_lo, k_lo)
 
 
 def output_divergence(k, out) -> np.ndarray | float:
@@ -158,12 +187,14 @@ def output_divergence(k, out) -> np.ndarray | float:
     return float(div) if out.ndim == 1 else div
 
 
-def _scaled_up(a: np.ndarray) -> np.ndarray:
-    """``a`` times the power of two lifting a largest |entry| below 0.5 into [0.5, 1).
+def _scaled_up(a: np.ndarray, core: int) -> np.ndarray:
+    """Each of the ``core``-dimensional arrays stacked in ``a`` times the power of two
+    lifting its largest |entry| below 0.5 into [0.5, 1).
 
     It scales exactly, and the squares of tiny entries then cannot underflow."""
-    exponent = np.frexp(np.max(np.abs(a), initial=0.0))[1]
-    return np.ldexp(a, -min(int(exponent), 0))
+    peak = np.max(np.abs(a), axis=tuple(range(-core, 0)), initial=0.0)
+    exponent = np.frexp(peak)[1].reshape(peak.shape + (1,) * core)
+    return np.ldexp(a, -np.minimum(exponent, 0))
 
 
 def null_residual(kernel, direction) -> float:
@@ -172,14 +203,42 @@ def null_residual(kernel, direction) -> float:
     direction = np.asarray(direction, dtype=float)
     if direction.shape != kernel.shape[1:]:
         raise ValueError(f"expected a direction of shape {kernel.shape[1:]}, got shape {direction.shape}")
-    kernel, direction = _scaled_up(kernel), _scaled_up(check_finite(direction, "direction entries"))
-    norms = lambda: [np.linalg.norm(kernel @ direction), np.linalg.norm(kernel, 2), np.linalg.norm(direction)]
-    norm_image, norm_ker, norm_dir = map(float, _finite("null residual", norms))
-    if norm_dir == 0.0:
+    return float(_null_residuals(kernel, check_finite(direction, "direction entries")))
+
+
+def _null_residuals(kernel: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """null_residual of each checked kernel[..., m, n] and direction[..., n]."""
+    kernel, direction = _scaled_up(kernel, 2), _scaled_up(direction, 1)
+    norms = lambda: [
+        _norms((kernel @ direction[..., None])[..., 0]), np.linalg.norm(kernel, 2, axis=(-2, -1)), _norms(direction)
+    ]
+    norm_image, norm_ker, norm_dir = _finite("null residual", norms)
+    if np.any(norm_dir == 0.0):
         raise ValueError("direction must be nonzero")
-    if norm_ker == 0.0:
-        return 0.0
-    return norm_image / (norm_ker * norm_dir)
+    scale = norm_ker * norm_dir
+    return np.divide(norm_image, scale, out=np.zeros_like(scale), where=norm_ker != 0.0)
+
+
+def _gauge_residuals(k, x, eps, h) -> np.ndarray:
+    """Per trial t, from stacks k[t], x[t], eps[t] (four-vectors) and symmetric h[t]: the
+    residuals null_residual(M, k), |k.M.x| / (|M|_2 |x| |k|), null_residual(F,
+    sym_to_vec(gauge_tensor(k, eps))) and |k.E(h)| / (|F|_2 |h| |k|), with M, F and E
+    the Maxwell kernel, Fierz-Pauli kernel and apply.  Each stack is checked once.
+    """
+    for v, name in ((k, "momentum"), (x, "x"), (eps, "gauge parameter")):
+        check_finite(v, f"{name} components")
+    h = check_symmetric(h)
+    M = _finite("Maxwell kernel", lambda: _maxwell(k))
+    F = _finite("Fierz-Pauli kernel", lambda: _fierz_pauli_kernel(k))
+    pure_gauge = sym_to_vec(_finite("gauge tensor", lambda: _gauge_tensor(k, eps)))
+    divergence = (k[:, None, :] @ _finite("Fierz-Pauli output", lambda: _fierz_pauli(k, h)))[:, 0]
+    knorm = _norms(k)
+    return np.stack([
+        _null_residuals(M, k),
+        abs(_dots(k, (M @ x[..., None])[..., 0])) / (np.linalg.norm(M, 2, axis=(-2, -1)) * _norms(x) * knorm),
+        _null_residuals(F, pure_gauge),
+        _norms(divergence) / (np.linalg.norm(F, 2, axis=(-2, -1)) * _norms(h.reshape(-1, 16)) * knorm),
+    ], axis=1)
 
 
 def null_space_dimension(kernel) -> int:

@@ -58,7 +58,7 @@ class _LazyArrays(_ReadOnlyState):
     boundary = _BuiltOnFirstRead()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SccSystem(_LazyArrays):
     """Operator K, source J, the couplings that built them, and the boundary used.
 
@@ -69,7 +69,7 @@ class SccSystem(_LazyArrays):
     which ``verify_scc`` reads in its place, and a builder of the complex's
     own dense boundary.  A system given a dense K, by this constructor or
     ``dataclasses.replace``, is checked on the nonzeros of that K.  ``repr``
-    leaves both out, and ``==`` leaves out the boundary.
+    leaves both out, and ``==`` is identity, so neither builds them.
     """
 
     n: int
@@ -78,7 +78,7 @@ class SccSystem(_LazyArrays):
     hbar: float
     K: np.ndarray = field(repr=False)
     J: np.ndarray
-    boundary: np.ndarray = field(repr=False, compare=False)
+    boundary: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         K = vars(self)["K"]

@@ -66,6 +66,9 @@ OBSTRUCTION_RTOL = 1e-9
 #: Absolute error within which TrigIdentityReport.passed accepts the identities.
 TRIG_ATOL = 1e-9
 
+#: Absolute phase slack (radians) for flagging a sweep row as an exact maximum.
+MAXIMUM_PHASE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PhaseDecomposition:
@@ -404,9 +407,10 @@ class SlitGeometry:
 
 def path_lengths(geometry: SlitGeometry) -> tuple[float, float]:
     """Straight-line distances from each slit to the detector point."""
-    d = geometry.slit_separation
-    L = geometry.screen_distance
-    y = geometry.detector_position
+    return _path_lengths(geometry.slit_separation, geometry.screen_distance, geometry.detector_position)
+
+
+def _path_lengths(d: float, L: float, y: float) -> tuple[float, float]:
     return (math.hypot(L, y - d / 2.0), math.hypot(L, y + d / 2.0))
 
 
@@ -422,14 +426,47 @@ def geometry_to_links(geometry: SlitGeometry, n_vertices: int) -> tuple[float, f
     couplings when e_x^2 = 4 ell / (N lambda); the pair (e_x, e_x_alt)
     then encodes (ell_1, ell_2).
     """
-    n = check_n(n_vertices)
-    l1, l2 = path_lengths(geometry)
+    return _rung_values(check_n(n_vertices), *path_lengths(geometry), geometry.wavelength)
+
+
+def _rung_values(n: int, l1: float, l2: float, lam: float) -> tuple[float, float]:
+    """geometry_to_links for a checked vertex count, from the two path lengths."""
     if not (math.isfinite(l1) and math.isfinite(l2)):
         raise ValueError(f"path lengths must be finite, got {l1} and {l2}")
-    lam = geometry.wavelength
     if lam <= 0:
         raise ValueError(f"wavelength must be positive, got {lam}")
     return (math.sqrt(4.0 * l1 / (n * lam)), math.sqrt(4.0 * l2 / (n * lam)))
+
+
+def _fringe_sweep(n_vertices, d: float, L: float, wavelength: float, ys):
+    """Yield (delta_phi, n_nearest, is_maximum, nrqm_intensity) per detector position y.
+
+    Each row is bitwise what geometry_to_links, TwinSlitConfig.calibrated (e_T = 1),
+    interference_phase_difference and nrqm_intensity give, with n and the calibration
+    checked once.  A row is refused on the first of: path lengths, wavelength,
+    calibration, a non-finite phase difference, or one whose float spacing exceeds
+    MAXIMUM_PHASE_TOL, so that no maximum can be resolved.
+    """
+    n = check_n(n_vertices)
+    scale = None  # n alpha^2 and 4 hbar beta, once the first row has passed its path checks
+    for y in ys:
+        l1, l2 = _path_lengths(d, L, y)
+        e_x, e_x_alt = _rung_values(n, l1, l2, wavelength)
+        if scale is None:
+            config = TwinSlitConfig.calibrated(n, e_x, e_x_alt, e_T=1.0, lambda_hat=wavelength)
+            scale = (n * config.alpha**2, 4.0 * config.hbar * config.beta)
+        # as interference_phase_difference evaluates it, left to right
+        dphi = scale[0] * (e_x**2 - e_x_alt**2) / scale[1]
+        if not math.isfinite(dphi):
+            raise ValueError(f"phase difference at y={y:.12g} is not finite")
+        if math.ulp(dphi) > MAXIMUM_PHASE_TOL:
+            raise ValueError(
+                f"phase difference at y={y:.12g} is {dphi:.12g} rad, too large to resolve a "
+                f"maximum: its float spacing exceeds {MAXIMUM_PHASE_TOL:.12g}"
+            )
+        nearest = round(dphi / (2.0 * math.pi))
+        is_max = abs(dphi - 2.0 * math.pi * nearest) <= MAXIMUM_PHASE_TOL
+        yield dphi, nearest, is_max, nrqm_intensity(l1 - l2, wavelength)
 
 
 def nrqm_intensity(path_diff: float, wavelength: float) -> float:

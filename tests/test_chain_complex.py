@@ -364,3 +364,31 @@ def test_index_built_complex_matches_the_loop_built_one(n):
         assert got.dtype == np.int64 and not got.flags.writeable
         assert_array_equal(got, expected)
     assert serialize_graph(built) == serialize_graph(graph)
+
+
+def test_serialization_formats_from_the_arrays_and_leaves_the_links_unbuilt():
+    # 70000 vertices: 104998 links, several formatting blocks and every digit count up to six
+    for n in (4, 6, 10, 34, 70_000):
+        graph = build_ladder_graph(n)
+        text = serialize_graph(graph)
+        assert callable(vars(graph)["links"]) and callable(vars(graph)["plaquettes"])
+        given_tuples = LadderGraph(n, graph.links, graph.plaquettes)
+        assert text == serialize_graph(given_tuples)
+    assert serialize_graph(loop_built(34)[0]) == serialize_graph(build_ladder_graph(34))
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize(
+    "copy_of", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_graph_copies_round_trip_before_and_after_the_first_read(copy_of, read_first):
+    for n in (4, 10, 34):
+        graph = build_ladder_graph(n)
+        if read_first:
+            graph.links, graph.plaquettes
+        copied = copy_of(graph)
+        assert callable(vars(copied)["links"]) is not read_first
+        assert callable(vars(copied)["plaquettes"]) is not read_first
+        assert serialize_graph(copied) == serialize_graph(graph)
+        assert copied == graph == loop_built(n)[0] and hash(copied) == hash(graph)
+        assert repr(copied) == repr(graph)

@@ -408,6 +408,8 @@ def test_partition_oracles_at_restricted_dimension_zero(tmp_path):
         ("10", "1000", "1e200", "lambda_hat=1e+200 gives"),
         ("10", "1000", "nan", "lambda_hat=nan gives"),
         ("nan", "1000", "2", "path lengths must be finite, got nan and nan"),
+        # a row that fails two checks is refused on the first: its path lengths
+        ("nan", "1000", "inf", "path lengths must be finite, got nan and nan"),
         ("10", "inf", "2", "path lengths must be finite, got inf and inf"),
         # the couplings fit, but the phase difference overflows
         ("10", "1000", "1e-150", "phase difference at y=-1 is not finite"),
@@ -442,6 +444,32 @@ def _reference_fmt(x):
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".12g")
+
+
+def _reference_matrix_block(label, M):
+    """The operator block with every entry formatted, then split and right-justified."""
+    rows = [" ".join(map(_reference_fmt, row.tolist())) for row in M]
+    width = max(len(cell) for row in rows for cell in row.split(" "))
+    return [label] + ["      " + " ".join(cell.rjust(width) for cell in row.split(" ")) for row in rows]
+
+
+@pytest.mark.parametrize("n", [4, 6, 160, 600])  # 600: two blocks of cells
+@pytest.mark.parametrize(
+    "alpha, beta, shown",
+    [(3, 2, " -2 "), (1.0, -1.5, " -0 "), (2, 1e-7, "e-07 ")],
+    ids=["int", "negative-float", "exponent-widths"],
+)
+def test_operator_block_bytes_match_the_per_entry_reference(n, alpha, beta, shown):
+    from ladderfield.chain_complex import build_chain_complex
+    from ladderfield.cli import _matrix_block
+    from ladderfield.scc import build_system, gradient_link_values
+
+    c = build_chain_complex(n)
+    v = np.random.default_rng(n).integers(-9, 10, size=n)
+    K = build_system(c, 1, gradient_link_values(c, v), alpha=alpha, beta=beta).K
+    block = _matrix_block("  operator K", K)
+    assert block == _reference_matrix_block("  operator K", K)
+    assert shown in " ".join(block) + " "
 
 
 def _with_header(seed, lines):
@@ -500,8 +528,8 @@ def _reference_gauge_check(trials, seed):
     return _with_header(seed, lines)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 7])
-@pytest.mark.parametrize("trials", [0, 1, 20, 36])
+@pytest.mark.parametrize("seed", [0, 3, 7, 11, 2024])
+@pytest.mark.parametrize("trials", [0, 1, 20, 36, 48, 200, 1100])  # 1100: two stacks
 def test_gauge_check_bytes_match_the_running_maximum_reference(trials, seed):
     assert run("gauge-check", "--trials", str(trials), "--seed", str(seed)) == (
         0, _reference_gauge_check(trials, seed), ""
@@ -572,3 +600,28 @@ def test_scc_bytes_match_the_per_entry_reference(n):
         argv, seed, v = ("--n", str(n), "--seed", "3"), 3, np.random.default_rng(3).integers(-9, 10, size=n)
     want = _reference_scc(v, seed, 0.5, 2.5)
     assert run("scc", *argv, "--alpha", "0.5", "--beta", "2.5") == (0, want, "")
+
+
+def test_the_reused_parser_keeps_no_state_between_calls():
+    graph6 = (FIXTURES / "graph" / "ladder6.csv").read_text()
+    assert run("graph", "--n", "6", "--frobnicate")[0] == 2
+    assert run("graph", "--n", "6") == (0, graph6, "")
+    assert run("spectrum", "--n", "6", "--gnuplot")[0] == 2
+    rc, out, err = run("spectrum", "--n", "6")
+    assert (rc, err) == (0, "") and out == run("spectrum", "--n", "6")[1]
+    assert run("partition", "--source", "preset:twin6", "--oracle", "mc", "--budget", "2000")[0] == 0
+    rc, out, _ = run("partition", "--source", "preset:twin6")
+    assert rc == 0 and body(out)[0] == "log_Z,exponent_term,restricted_dim" and len(body(out)[1].split(",")) == 3
+    assert run("graph", "--n", "6") == (0, graph6, "")
+
+
+def test_importing_the_cli_builds_no_parser():
+    import ladderfield
+
+    package_parent = Path(ladderfield.__file__).resolve().parents[1]
+    probe = "import ladderfield.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(package_parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from ladderfield.gauge_continuum import (
     MINKOWSKI,
     SYMMETRIC_BASIS,
+    _gauge_residuals,
     fierz_pauli_apply,
     fierz_pauli_kernel,
     gauge_tensor,
@@ -305,3 +306,48 @@ def test_coordinate_maps_are_bitwise_the_loops():
         x = rng.normal(size=10) * 10.0 ** rng.uniform(-3.0, 3.0)
         assert np.array_equal(sym_to_vec(h), reference_sym_to_vec(h))
         assert np.array_equal(vec_to_sym(x), reference_vec_to_sym(x))
+
+
+def reference_null_residual(kernel, direction):
+    """null_residual as one kernel at a time, with np.linalg.norm of each vector."""
+    def scaled_up(a):
+        return np.ldexp(a, -min(int(np.frexp(np.max(np.abs(a), initial=0.0))[1]), 0))
+
+    kernel, direction = scaled_up(kernel), scaled_up(direction)
+    norm_ker = float(np.linalg.norm(kernel, 2))
+    if norm_ker == 0.0:
+        return 0.0
+    return float(np.linalg.norm(kernel @ direction)) / (norm_ker * float(np.linalg.norm(direction)))
+
+
+def test_stacked_gauge_residuals_are_bitwise_the_per_trial_calls():
+    rng = np.random.default_rng(21)
+    k = wide_momenta(400, seed=22)
+    x, eps = rng.normal(size=(2, len(k), 4)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, len(k), 1))
+    H = rng.normal(size=(len(k), 4, 4))
+    H = H + np.swapaxes(H, -1, -2)
+    stacked = _gauge_residuals(k, x, eps, H)
+    assert stacked.shape == (len(k), 4)
+    for t in range(len(k)):
+        M, F = maxwell_kernel(k[t]), fierz_pauli_kernel(k[t])
+        knorm = float(np.linalg.norm(k[t]))
+        pure_gauge = sym_to_vec(gauge_tensor(k[t], eps[t]))
+        div_t = k[t] @ fierz_pauli_apply(k[t], H[t])
+        expected = [
+            reference_null_residual(M, k[t]),
+            abs(float(k[t] @ (M @ x[t]))) / (float(np.linalg.norm(M, 2)) * float(np.linalg.norm(x[t])) * knorm),
+            reference_null_residual(F, pure_gauge),
+            float(np.linalg.norm(div_t)) / (float(np.linalg.norm(F, 2)) * float(np.linalg.norm(H[t])) * knorm),
+        ]
+        assert stacked[t].tolist() == expected, t
+        assert [null_residual(M, k[t]), null_residual(F, pure_gauge)] == expected[::2]
+
+
+def test_stacked_gauge_residuals_check_each_stack():
+    k = wide_momenta(3, seed=5)
+    H = np.stack([np.eye(4)] * 3)
+    x = np.ones((3, 4))
+    with pytest.raises(ValueError, match="^momentum components must be finite$"):
+        _gauge_residuals(np.where(k == k[1, 2], np.inf, k), x, x, H)
+    with pytest.raises(ValueError, match="^matrix is not symmetric"):
+        _gauge_residuals(k, x, x, H + np.triu(np.ones((4, 4)), 1))

@@ -490,3 +490,14 @@ def test_verify_scc_refuses_a_nan_residual():
     system = build_system(c, 1, gradient_link_values(c, v), alpha=1.0, beta=1.0)
     with pytest.raises(SccViolation):
         verify_scc(system, np.array([np.nan, 2.0, 3.0, 4.0]))
+
+
+def test_equality_is_identity_and_leaves_the_dense_K_unbuilt():
+    # a generated field-by-field == of arrays has no truth value, and would build both K
+    c = build_chain_complex(8)
+    e = gradient_link_values(c, np.arange(8))
+    system, alike = build_system(c, 1, e), build_system(c, 1, e)
+    assert system == system and system != alike
+    assert len({system, alike}) == 2
+    for s in (system, alike):
+        assert callable(vars(s)["K"]) and callable(vars(s)["boundary"])

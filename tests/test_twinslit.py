@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ladderfield.chain_complex import build_chain_complex
@@ -18,6 +20,7 @@ from ladderfield.partition import project_source
 from ladderfield.scc import build_source, gradient_link_values
 from ladderfield.spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 from ladderfield.twinslit import (
+    MAXIMUM_PHASE_TOL,
     SlitGeometry,
     TwinSlitConfig,
     conditional_amplitude,
@@ -33,6 +36,7 @@ from ladderfield.twinslit import (
     split_links,
     trig_lemmas,
     uniform_link_values,
+    _fringe_sweep,
 )
 
 
@@ -390,3 +394,73 @@ def test_nrqm_maximum_positions():
 def test_nrqm_maximum_position_rejects_unreachable_orders():
     with pytest.raises(ValueError):
         nrqm_maximum_position(10.0, 1000.0, 1.0, 25)  # |n lam / 2| > d / 2
+
+
+# ---------------------------------------------------------------------------
+# the fringe sweep against the per-row route through the public functions
+
+
+def per_row_sweep(n, d, L, lam, ys):
+    """Each row through its own SlitGeometry and TwinSlitConfig, refusals included."""
+    rows = []
+    for y in ys:
+        geometry = SlitGeometry(d, L, y, lam)
+        e_x, e_x_alt = geometry_to_links(geometry, n)
+        config = TwinSlitConfig.calibrated(n, e_x, e_x_alt, e_T=1.0, lambda_hat=lam)
+        dphi = interference_phase_difference(config)
+        if not math.isfinite(dphi):
+            raise ValueError(f"phase difference at y={y:.12g} is not finite")
+        if math.ulp(dphi) > MAXIMUM_PHASE_TOL:
+            raise ValueError(
+                f"phase difference at y={y:.12g} is {dphi:.12g} rad, too large to resolve a "
+                f"maximum: its float spacing exceeds {MAXIMUM_PHASE_TOL:.12g}"
+            )
+        nearest = round(dphi / (2.0 * math.pi))
+        is_max = abs(dphi - 2.0 * math.pi * nearest) <= MAXIMUM_PHASE_TOL
+        rows.append((dphi, nearest, is_max, nrqm_intensity(path_difference(geometry), lam)))
+    return rows
+
+
+def outcome(sweep, *args):
+    """The rows with each float as its repr (bitwise), or the refusal."""
+    try:
+        return [tuple(map(repr, row)) for row in sweep(*args)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def sweeps(draw):
+    n = 2 * draw(st.integers(2, 500_000))
+    d, L = draw(st.floats(0.01, 100.0)), draw(st.floats(1.0, 1e4))
+    ys = draw(st.lists(st.one_of(st.just(0.0), st.floats(-500.0, 500.0)), min_size=1, max_size=25))
+    if draw(st.booleans()):
+        lam = 10.0 ** draw(st.floats(-9.0, 1.0))
+    else:  # the largest phase near 2**23 rad, where its float spacing reaches MAXIMUM_PHASE_TOL
+        path_diff = max(abs(path_difference(SlitGeometry(d, L, y, 1.0))) for y in ys)
+        lam = 2.0 * math.pi * path_diff / (2.0**23 * draw(st.floats(0.98, 1.02))) or 1.0
+    return n, d, L, lam, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweeps())
+@example(case=(8, 10.0, 1000.0, 2.0, [-40.0, -20.0, 0.0, 20.0, 40.0]))
+@example(case=(8, 10.0, 1000.0, 1e-8, [-1.0, 0.0, 1.0]))  # |phase| just below 2**23
+@example(case=(8, 10.0, 1000.0, 5e-9, [0.0, 1.0, -1.0]))  # refused at the second row
+def test_fringe_sweep_is_bitwise_the_per_row_route(case):
+    assert outcome(_fringe_sweep, *case) == outcome(per_row_sweep, *case)
+
+
+@pytest.mark.parametrize(
+    "d, L, lam, ys",
+    [
+        (math.nan, 1000.0, math.inf, [0.0]),  # path lengths before the calibration
+        (10.0, 1000.0, -2.0, [0.0, 1.0]),  # the wavelength before the calibration
+        (10.0, 1000.0, 1e-150, [0.0, 1.0]),  # a finite phase at y=0, none at y=1
+        (10.0, 1000.0, 1e-300, [1.0, 2.0]),  # the calibration on the first row
+        (10.0, math.inf, 2.0, [0.0]),
+    ],
+)
+def test_fringe_sweep_refuses_in_the_per_row_order(d, L, lam, ys):
+    refusal = outcome(per_row_sweep, 8, d, L, lam, ys)
+    assert refusal.startswith("ValueError") and outcome(_fringe_sweep, 8, d, L, lam, ys) == refusal
