@@ -497,12 +497,17 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-_HEADER = re.compile(r"^ladder\s+N=(\d+)$")
-_LINK = re.compile(r"^link\s+(\d+)\s+(\d+)\s+(\d+)\s+(temporal|spatial)$")
-
-
+#: A number as serialize_graph writes it: ASCII digits, no sign and no leading zero.
+_NUMBER = "(0|[1-9][0-9]*)"
+_HEADER = re.compile(f"ladder N={_NUMBER}")
+_LINK = re.compile(f"link {_NUMBER} {_NUMBER} {_NUMBER} (?:{TEMPORAL}|{SPATIAL})")
 #: Links formatted per "%" operation by serialize_graph.
 _LINKS_PER_BLOCK = 1 << 12
+
+
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of a text, skipping blank and '#' comment lines."""
+    return [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
 
 
 def serialize_graph(graph: LadderGraph) -> str:
@@ -525,35 +530,29 @@ def _link_lines(ends: np.ndarray, first: int, n_temporal: int) -> str:
 
 
 def parse_graph(text: str) -> LadderGraph:
-    """Inverse of serialize_graph.
+    """Inverse of serialize_graph: the stripped lines must be exactly the ones it writes.
 
-    Only canonical ladder descriptions are accepted: the link records
-    must match the rail-major construction for the header's N exactly.
-    Blank lines and '#' comment lines are ignored.
+    Blank lines and '#' comment lines are ignored.  A refusal names the first
+    link line that is malformed or repeats an index, else the records as not
+    the canonical ladder for the header's N.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines:
         raise ValueError("empty graph description")
-    m = _HEADER.match(lines[0])
-    if not m:
+    if not (m := _HEADER.fullmatch(lines[0])):
         raise ValueError(f"bad header line: {lines[0]!r}")
-    graph = build_ladder_graph(int(m.group(1)))
-
-    seen: dict[int, Link] = {}
-    for ln in lines[1:]:
-        lm = _LINK.match(ln)
-        if not lm:
-            raise ValueError(f"bad link line: {ln!r}")
-        idx = int(lm.group(1))
-        if idx in seen:
-            raise ValueError(f"link {idx} is recorded more than once")
-        seen[idx] = Link(int(lm.group(2)), int(lm.group(3)), lm.group(4))
-
-    expected = {i: link for i, link in enumerate(graph.links, start=1)}
-    if seen != expected:
-        raise ValueError("link records do not describe a canonical ladder for this N")
-    return graph
+    n = check_n(int(m[1]))
+    graph = build_ladder_graph(n) if len(lines) - 1 == 3 * n // 2 - 2 else None  # only for 3N/2 - 2 records
+    if graph is not None and "\n".join([*lines, ""]) == serialize_graph(graph):
+        return graph
+    seen = set()
+    for line in lines[1:]:
+        if not (match := _LINK.fullmatch(line)):
+            raise ValueError(f"bad link line: {line!r}")
+        if match[1] in seen:
+            raise ValueError(f"link {match[1]} is recorded more than once")
+        seen.add(match[1])
+    raise ValueError("link records do not describe a canonical ladder for this N")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain_complex import build_chain_complex, build_ladder_graph, serialize_graph
+from .chain_complex import _data_lines, build_chain_complex, build_ladder_graph, serialize_graph
 from .gauge_continuum import _gauge_residuals, minkowski_square
 from .partition import brute_force_Z, euclidean_Z
 from .scc import build_system, gradient_link_values, verify_scc
@@ -55,21 +55,15 @@ def _number(text: str):
         return float(text)
 
 
-def _data_lines(path):
-    """The stripped lines of a file, skipping blank and '#' comment lines."""
-    return (line for line in map(str.strip, Path(path).read_text().splitlines()) if line and not line.startswith("#"))
-
-
 def _read_values(path: str) -> np.ndarray:
-    rows = list(map(_number, _data_lines(path)))
+    rows = list(map(_number, _data_lines(Path(path).read_text())))
     if not rows:
         raise ValueError(f"no values found in {path}")
-    if all(isinstance(r, int) for r in rows):
-        try:
-            return np.array(rows, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"integer value in {path} outside the int64 range") from exc
-    return np.array(rows, dtype=float)
+    exact = all(isinstance(r, int) for r in rows)
+    try:
+        return np.array(rows, dtype=np.int64 if exact else float)
+    except OverflowError as exc:  # an integer literal past the int64, or the float, range
+        raise ValueError(f"integer value in {path} outside the {'int64' if exact else 'float'} range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +213,8 @@ _TRIALS_PER_STACK = 1024
 
 
 def _cmd_gauge_check(args) -> list[str]:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be a non-negative trial count, got {args.trials}")
     rng = np.random.default_rng(args.seed)
 
     def draw_momentum():
@@ -255,10 +251,10 @@ _PLOTS = {
 def emit_plot_script(csv_path) -> Path:
     """Write a gnuplot script next to the CSV, dispatching on its header row."""
     csv_path = Path(csv_path)
-    header = next(_data_lines(csv_path), None)
-    if header is None:
+    rows = _data_lines(csv_path.read_text())
+    if not rows:
         raise ValueError(f"{csv_path} contains no header row")
-
+    header = rows[0]
     if header not in _PLOTS:
         raise ValueError(f"no plot defined for schema: {header}")
     lines = ["set datafile separator ','", "set key autotitle columnhead", *_PLOTS[header]]

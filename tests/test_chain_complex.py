@@ -264,11 +264,13 @@ def test_copies_round_trip_read_only_before_and_after_the_first_read(copy_of, re
         assert validate_complex(copied).passed
 
 
-@pytest.mark.parametrize("n", [4, 6, 10, 34])
+@pytest.mark.parametrize("n", [4, 6, 10, 34, 70_000])  # 70 000 spans several formatting blocks
 def test_serialization_round_trip(n):
     g = build_ladder_graph(n)
     text = serialize_graph(g)
     parsed = parse_graph(text)
+    assert callable(vars(parsed)["links"]) and callable(vars(parsed)["plaquettes"])
+    assert serialize_graph(parsed) == text
     assert parsed == g
     assert text.splitlines()[0] == f"ladder N={n}"
 
@@ -278,13 +280,50 @@ def test_parse_ignores_comments_and_blank_lines():
     lines = text.splitlines()
     lines.insert(1, "# a comment")
     lines.insert(3, "")
+    lines.insert(4, "  \t# an indented comment")
+    lines[2] = f"  {lines[2]}\t"  # each line is read stripped
     assert parse_graph("\n".join(lines)) == build_ladder_graph(4)
+
+
+# Each refusal names the first fault a scan of the link lines meets: a
+# malformed line or a repeated index, whichever comes first; only a text with
+# neither is refused as no canonical ladder.  A line counts as well formed only
+# in the serializer's own spelling.
+_N4 = "ladder N=4\nlink 1 1 2 temporal\nlink 2 3 4 temporal\nlink 3 1 3 spatial\nlink 4 2 4 spatial\n"
+_NOT_CANONICAL = "link records do not describe a canonical ladder for this N"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("link 1 1 2 temporal\nlink 2 3 4 temporal", "link 1 1 2 temporal\nlink 1 3 4 temporal\nlink 2 x",
+         "link 1 is recorded more than once"),
+        ("link 1 1 2 temporal\nlink 2 3 4 temporal", "link 1 1 2 diagonal\nlink 1 3 4 temporal",
+         "bad link line: 'link 1 1 2 diagonal'"),
+        ("link 1 1 2 temporal\nlink 2 3 4 temporal", "link 2 3 4 temporal\nlink 1 1 2 temporal", _NOT_CANONICAL),
+        ("link 1 1 2", "link 1  1 2", "bad link line: 'link 1  1 2 temporal'"),
+        ("link 1 1 2", "link 01 1 2", "bad link line: 'link 01 1 2 temporal'"),
+        ("link 1 1 2", "link\t1 1 2", "bad link line: 'link\\t1 1 2 temporal'"),
+        ("link 1 1 2", "link ١ 1 2", "bad link line: 'link ١ 1 2 temporal'"),  # an Arabic-Indic 1
+        ("ladder N=4", "ladder  N=4", "bad header line: 'ladder  N=4'"),
+        ("ladder N=4", "ladder N=04", "bad header line: 'ladder N=04'"),
+        ("ladder N=4", "ladder N=5", "vertex count must be an even integer >= 4, got 5"),
+        ("ladder N=4", "ladder N=1000000000000", _NOT_CANONICAL),  # refused before any graph is built
+    ],
+    ids=["repeat-before-malformed", "malformed-before-repeat", "reordered", "double-space", "leading-zero",
+         "tab", "unicode-digit", "header-double-space", "header-leading-zero", "header-odd-n", "header-huge-n"],
+)
+def test_parse_refusal_names_the_first_fault(old, new, message):
+    assert _N4 == serialize_graph(build_ladder_graph(4))
+    assert _N4.count(old) == 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_graph(_N4.replace(old, new))
 
 
 def test_parse_rejects_tampered_link():
     text = serialize_graph(build_ladder_graph(4))
     bad = text.replace("link 1 1 2 temporal", "link 1 1 3 temporal")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{_NOT_CANONICAL}$"):
         parse_graph(bad)
 
 
@@ -298,7 +337,7 @@ def test_parse_rejects_a_repeated_link_record():
 def test_parse_rejects_wrong_link_count():
     text = serialize_graph(build_ladder_graph(4))
     lines = [ln for ln in text.splitlines() if not ln.startswith("link 4 ")]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{_NOT_CANONICAL}$"):
         parse_graph("\n".join(lines))
 
 

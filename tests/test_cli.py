@@ -348,6 +348,12 @@ def test_partition_refuses_a_non_positive_budget():
     assert err == "error: quadrature budget must be a positive node count, got -5\n"
 
 
+def test_gauge_check_refuses_a_negative_trial_count():
+    rc, out, err = run("gauge-check", "--trials", "-3")
+    assert (rc, out) == (1, "")
+    assert err == "error: --trials must be a non-negative trial count, got -3\n"
+
+
 def test_scc_refuses_vertex_values_that_would_wrap(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text(f"{2**62}\n0\n0\n0\n")
@@ -362,6 +368,15 @@ def test_integer_literal_outside_int64_is_an_error(tmp_path):
     rc, out, err = run("scc", "--from-vertices", str(path))
     assert (rc, out) == (1, "")
     assert err == f"error: integer value in {path} outside the int64 range\n"
+
+
+@pytest.mark.parametrize("option", ["--source", "--from-vertices"])
+def test_integer_literal_outside_the_float_range_beside_a_float_is_an_error(tmp_path, option):
+    path = tmp_path / "values.txt"
+    path.write_text(f"1.5\n{10**400}\n0\n0\n")  # four link values fit N=4, four vertex values too
+    rc, out, err = run("partition" if option == "--source" else "scc", option, str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: integer value in {path} outside the float range\n"
 
 
 def test_python_dash_m_runs_the_cli():
