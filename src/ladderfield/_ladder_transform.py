@@ -27,6 +27,20 @@ def ladder_eigenvalues(n: int) -> np.ndarray:
     return np.stack((lam - 1.0, lam + 1.0), axis=1).ravel()
 
 
+def zero_modes(n: int, continued: bool) -> list[int]:
+    """Modes of exact eigenvalue 0: symmetric j = 0, and antisymmetric j = N/4 when continued and 4 | N
+    (its float value is not 0.0 at some such N, the first being N = 44)."""
+    return [0, n // 2 + 1] if continued and n % 4 == 0 else [0]
+
+
+def degenerate_pairs(n: int, continued: bool) -> list[tuple[int, int]]:
+    """(symmetric, antisymmetric) mode pairs of exactly equal eigenvalue: j, j' with cos(2 pi j'/N) -
+    cos(2 pi j/N) = 1 (-1 continued).  For cosines of rational multiples of pi only (1, 0) and (1/2, -1/2)
+    solve it (Conway & Jones, Acta Arith. 30, 1976): (j, j') = (N/4, 0) or (N/3, N/6), swapped continued."""
+    pairs = [(n // 4, 0)] * (n % 4 == 0) + [(n // 3, n // 6)] * (n % 3 == 0)
+    return [(2 * p[continued], 2 * p[not continued] + 1) for p in pairs]
+
+
 def rails(x: np.ndarray) -> np.ndarray:
     """(first half + second half, first half - second half) of a 1-D vector, stacked."""
     left, right = x[: x.size // 2], x[x.size // 2 :]

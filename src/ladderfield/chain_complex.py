@@ -302,11 +302,11 @@ class LadderGraph(_LazyGraph):
 
     @property
     def n_links(self) -> int:
-        return len(self.links)
+        return len(self.links) if self._ends is None else len(self._ends)
 
     @property
     def n_plaquettes(self) -> int:
-        return len(self.plaquettes)
+        return len(self.plaquettes) if self._ends is None else self.n_vertices // 2 - 1
 
     @property
     def n_rungs(self) -> int:

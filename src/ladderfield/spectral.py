@@ -40,7 +40,7 @@ from .chain_complex import (
     check_square,
     check_symmetric,
 )
-from ._ladder_transform import LadderBasis, ladder_eigenvalues, pivot_signs
+from ._ladder_transform import LadderBasis, degenerate_pairs, ladder_eigenvalues, pivot_signs, zero_modes
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -110,12 +110,16 @@ def _zero_mode_indices(vals: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.abs(vals) <= ZERO_MODE_RTOL * top).tolist())
 
 
+def _groups(n: int, joined) -> tuple[tuple[int, ...], ...]:
+    """0 .. n - 1 as runs of consecutive indices, with i and i + 1 in one run for each i in ``joined``."""
+    ends = np.setdiff1d(np.arange(1, n), np.asarray(joined, dtype=int) + 1).tolist() + [n]
+    return tuple(tuple(range(a, b)) for a, b in zip([0] + ends, ends) if a < b)
+
+
 def _degeneracy_groups(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
     scale = max(np.max(np.abs(vals), initial=0.0), 1.0)
-    # a gap that is not within the tolerance, a NaN gap included, ends a group
-    split = ~(np.abs(np.diff(vals)) <= DEGENERACY_RTOL * scale)
-    ends = (np.flatnonzero(split) + 1).tolist() + [vals.size]
-    return tuple(tuple(range(a, b)) for a, b in zip([0] + ends, ends) if a < b)
+    # a NaN gap is not within the tolerance, so it ends a group
+    return _groups(vals.size, np.flatnonzero(np.abs(np.diff(vals)) <= DEGENERACY_RTOL * scale))
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
@@ -133,30 +137,38 @@ def _columns_in_order(build_vecs, order: np.ndarray) -> np.ndarray:
     return _frozen(np.asarray(build_vecs(), dtype=float)[:, order])
 
 
-def _assemble(vals, vecs, parity, beta, regime) -> Spectrum:
-    """Sort the modes stably by eigenvalue.
+def _assemble(vals, build_vecs, parity, beta, regime) -> Spectrum:
+    """A spectrum with no closed form, sorted stably by eigenvalue, its zero modes and groups by the thresholds.
 
-    ``vecs`` is a zero-argument builder of the sign-fixed vectors in the
-    order of ``vals``, run (and the columns sorted) on the first read of the
-    eigenvectors, or the closed-form mode of each value, kept as the basis
-    that builds them; the degeneracy groups are built on first read too.
-    A builder is a ``partial`` of a module-level function or the basis's
-    method, so a Spectrum pickles before its first read as after it.
+    ``build_vecs`` builds the sign-fixed vectors in the order of ``vals``, on the first read of the
+    eigenvectors, as the groups are built on theirs.  It is a ``partial`` of a module-level function,
+    so a Spectrum pickles before its first read as after it.
     """
     order = np.argsort(vals, kind="stable")
     vals = _frozen(np.asarray(vals, dtype=float)[order])
-    basis = None if callable(vecs) else LadderBasis(vecs[order])
-    spectrum = Spectrum(
-        eigenvalues=vals,
-        eigenvectors=partial(_columns_in_order, vecs, order) if basis is None else basis.vectors,
-        parity=tuple(parity[i] for i in order),
-        zero_modes=_zero_mode_indices(vals),
-        degeneracy_groups=partial(_degeneracy_groups, vals),
-        beta=float(beta),
-        regime=regime,
-    )
-    if basis is not None:  # an instance attribute, not a field, so replace() drops it
-        object.__setattr__(spectrum, "_basis", basis)
+    return Spectrum(eigenvalues=vals, eigenvectors=partial(_columns_in_order, build_vecs, order),
+                    parity=tuple(parity[i] for i in order), zero_modes=_zero_mode_indices(vals),
+                    degeneracy_groups=partial(_degeneracy_groups, vals), beta=float(beta), regime=regime)
+
+
+def _from_modes(vals: np.ndarray, modes: np.ndarray, beta, regime) -> Spectrum:
+    """A closed-form or continued spectrum, vals[i] the eigenvalue of mode modes[i] of ladder_eigenvalues:
+    sorted stably by eigenvalue, with every tag from the mode indices and none from a threshold."""
+    order = np.argsort(vals, kind="stable")
+    basis = LadderBasis(modes[order])
+    n, continued = modes.size, regime == "lorentzian"
+    column = np.empty(n, dtype=int)
+    column[basis.modes] = np.arange(n)
+    if beta == 0:  # every eigenvalue is 0: all zero modes, in one group
+        zero, joined = range(n), range(n - 1)
+    else:
+        zero = sorted(column[zero_modes(n, continued)].tolist())
+        joined = [min(column[a], column[b]) for a, b in degenerate_pairs(n, continued)]
+    parity = np.array([SYMMETRIC, ANTISYMMETRIC], dtype=object)[basis.modes % 2].tolist()
+    spectrum = Spectrum(eigenvalues=_frozen(vals[order]), eigenvectors=basis.vectors, parity=tuple(parity),
+                        zero_modes=tuple(zero), degeneracy_groups=partial(_groups, n, joined),
+                        beta=float(beta), regime=regime)
+    object.__setattr__(spectrum, "_basis", basis)  # an instance attribute, not a field, so replace() drops it
     return spectrum
 
 
@@ -169,7 +181,7 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     n = check_n(n_vertices)
     beta = check_coupling(beta)
     vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(n))
-    return _assemble(vals, np.arange(n), [SYMMETRIC, ANTISYMMETRIC] * (n // 2), beta, "euclidean")
+    return _from_modes(vals, np.arange(n), beta, "euclidean")
 
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
@@ -208,7 +220,9 @@ def numeric_spectrum(K) -> Spectrum:
     size is a ladder size (even, >= 4) and the matrix commutes with the
     rail swap, each degenerate subspace is rotated into definite-parity
     vectors so the tags match the closed form.  Raises on non-symmetric
-    input.
+    input.  Zero modes and degeneracy groups come from ZERO_MODE_RTOL and
+    DEGENERACY_RTOL, so past cond K of about 1e9 a genuine mode is tagged
+    zero (the ladder's own K gets there near N = 82 000).
     """
     K = np.asarray(K, dtype=float)
     vals, vecs = _symmetric_eigh(K)
@@ -236,23 +250,24 @@ def numeric_spectrum(K) -> Spectrum:
 def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
     """Continue a ladder spectrum: antisymmetric eigenvalues drop by 4 beta.
 
-    Requires every mode to carry a parity tag.  Zero modes and
-    degeneracy groups are recomputed for the shifted eigenvalues; for
-    N divisible by 4 the antisymmetric mode at j = N/4 becomes a second
-    null direction and the result reports itself singular.
+    Requires every mode to carry a parity tag.  A closed-form parent's
+    continuation takes its tags from the mode indices; for N divisible by
+    4 the antisymmetric mode at j = N/4 becomes a second null direction
+    and the result reports itself singular.  A numeric parent's zero
+    modes and degeneracy groups are recomputed for the shifted eigenvalues.
     """
-    if None in spectrum.parity:
+    basis = getattr(spectrum, "_basis", None)
+    if basis is None and None in spectrum.parity:
         raise ValueError("cannot continue a spectrum without parity tags on every mode")
     if spectrum.n_modes != n_vertices:
-        raise ValueError(
-            f"spectrum has {spectrum.n_modes} modes but n_vertices is {n_vertices}"
-        )
-    antisymmetric = np.array(spectrum.parity) == ANTISYMMETRIC
+        raise ValueError(f"spectrum has {spectrum.n_modes} modes but n_vertices is {n_vertices}")
+    # odd modes are the antisymmetric ones; a numeric parent's tags are compared once, as objects
+    antisymmetric = basis.modes % 2 if basis is not None else np.array(spectrum.parity, dtype=object) == ANTISYMMETRIC
     vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
-    basis = getattr(spectrum, "_basis", None)
-    # a numeric parent's vectors, read (and kept by the parent) only when these are
-    vecs = partial(getattr, spectrum, "eigenvectors") if basis is None else basis.modes
-    return _assemble(vals, vecs, spectrum.parity, spectrum.beta, "lorentzian")
+    if basis is not None:  # sorted from the parent's order, so tied values keep their columns
+        return _from_modes(vals, basis.modes, spectrum.beta, "lorentzian")
+    # the parent's vectors, read (and kept by the parent) only when these are
+    return _assemble(vals, partial(getattr, spectrum, "eigenvectors"), spectrum.parity, spectrum.beta, "lorentzian")
 
 
 def _project(spectrum: Spectrum, x: np.ndarray, signed: bool) -> np.ndarray:

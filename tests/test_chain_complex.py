@@ -80,6 +80,16 @@ def test_counts(n):
     assert len(g.spatial_links) == n // 2
 
 
+@pytest.mark.parametrize("n", [4, 6, 120, 10**6])
+def test_counts_leave_the_links_and_faces_unbuilt(n):
+    g = build_ladder_graph(n)
+    assert (g.n_links, g.n_plaquettes) == (3 * n // 2 - 2, n // 2 - 1)
+    assert callable(vars(g)["links"]) and callable(vars(g)["plaquettes"])
+    if n < 10**6:  # a graph of caller-given tuples counts them
+        given_tuples = LadderGraph(n, g.links[:-1], g.plaquettes[:1])
+        assert (given_tuples.n_links, given_tuples.n_plaquettes) == (3 * n // 2 - 3, 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, -4, 13])
 def test_rejects_bad_vertex_counts(n):
     with pytest.raises(ValueError):

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ladderfield.chain_complex import build_chain_complex
 from ladderfield.cli import main
+from ladderfield.scc import gradient_link_values
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -148,6 +150,32 @@ def test_partition_source_from_file(tmp_path):
     rc, out, _ = run("partition", "--source", str(src))
     assert rc == 0
     assert int(body(out)[1].split(",")[2]) == 5
+
+
+@pytest.mark.parametrize("n", [12, 100_000])
+def test_partition_of_a_gradient_is_the_kirchhoff_closed_form(tmp_path, n):
+    # pdet K = N tau (matrix-tree theorem), with tau = ((2+r3)^h - (2-r3)^h) / (2 r3) spanning
+    # trees of the h-rung ladder; J = d1 e with e = d1^T v gives the exponent |e|^2 / 2
+    e = gradient_link_values(build_chain_complex(n), np.random.default_rng(1).standard_normal(n))
+    src = tmp_path / "e.txt"
+    src.write_text("\n".join(map(repr, e.tolist())))
+    r3 = np.sqrt(3.0)
+    log_tau = n / 2 * np.log(2 + r3) + np.log1p(-((2 - r3) ** n)) - np.log(2 * r3)
+    log_z = (n - 1) / 2 * np.log(2 * np.pi) - (np.log(n) + log_tau) / 2 + np.sum(e**2) / 2
+    rc, out, err = run("partition", "--source", str(src))
+    assert (rc, err) == (0, "")
+    row = body(out)[1].split(",")
+    assert int(row[2]) == n - 1
+    assert float(row[0]) == pytest.approx(log_z, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("flags, zero_rows", [((), [0]), (("--lorentzian",), [25_000, 25_001])])
+def test_spectrum_marks_only_the_exact_zero_modes_at_n_100000(flags, zero_rows):
+    rc, out, _ = run("spectrum", "--n", "100000", *flags)
+    assert rc == 0
+    rows = body(out)[1:]
+    assert len(rows) == 100_000
+    assert [i for i, row in enumerate(rows) if row.endswith(",true")] == zero_rows
 
 
 def test_partition_montecarlo_oracle_seeded():

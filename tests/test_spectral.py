@@ -16,6 +16,8 @@ from ladderfield.chain_complex import build_chain_complex
 from ladderfield.partition import classical_solution, euclidean_Z, project_source
 from ladderfield.scc import build_operator, build_system, gradient_link_values, null_space_basis
 from ladderfield.spectral import (
+    _degeneracy_groups,
+    _zero_mode_indices,
     continue_to_lorentzian,
     ladder_spectrum_closed_form,
     lorentzian_operator,
@@ -231,12 +233,27 @@ def test_extra_zero_mode_iff_multiple_of_four(n):
         assert extra == 1  # the quarter-frequency antisymmetric mode
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: from N near 82 000 the 1e-9 relative threshold tags genuine modes as zero modes",
-)
 def test_closed_form_tags_one_zero_mode_at_n_100000():
     assert ladder_spectrum_closed_form(100_000).zero_modes == (0,)
+
+
+@pytest.mark.parametrize(
+    "n, zero, continued_zero, pairs",
+    [
+        # past N near 82 000 the smallest nonzero eigenvalue is below 1e-9 of the largest
+        (81_998, (0,), (20_500,), 0),  # neither 3 nor 4 divides N: no exact tie
+        (82_000, (0,), (20_500, 20_501), 1),  # 4 | N: the j = N/4 pair, continued the two zero modes
+        (10**6, (0,), (250_000, 250_001), 1),
+    ],
+)
+def test_tags_come_from_the_mode_indices_at_large_n(n, zero, continued_zero, pairs):
+    s = ladder_spectrum_closed_form(n)
+    continued = continue_to_lorentzian(s, n)
+    for spectrum, want in ((s, zero), (continued, continued_zero)):
+        assert spectrum.zero_modes == want
+        tied = [g for g in spectrum.degeneracy_groups if len(g) > 1]
+        assert len(tied) == pairs and all(len(g) == 2 for g in tied)
+    assert (continued_zero in tied) == (len(continued_zero) == 2)  # two zero modes form a group
 
 
 def test_continuation_requires_parity_tags():
@@ -361,7 +378,7 @@ def _eager_closed_form(n, beta):
     return _reference_bookkeeping(vals, vecs, ["symmetric", "antisymmetric"] * half)
 
 
-@pytest.mark.parametrize("beta", [1, 2.5, 3, -2])
+@pytest.mark.parametrize("beta", [1, 2.5, 3, -2, 0])
 def test_lazy_fields_are_bitwise_the_eager_construction(beta):
     for n in [*range(4, 513, 2), 1024]:
         reference = _eager_closed_form(n, beta)
@@ -369,6 +386,9 @@ def test_lazy_fields_are_bitwise_the_eager_construction(beta):
         continued = continue_to_lorentzian(s, n)
         # the continuation is read first: it builds its vectors from its own basis
         for spectrum, want in ((continued, _reference_continued(reference, beta)), (s, reference)):
+            if n <= 400:  # the index tags are the thresholds' on these eigenvalues
+                assert spectrum.zero_modes == _zero_mode_indices(spectrum.eigenvalues)
+                assert spectrum.degeneracy_groups == _degeneracy_groups(spectrum.eigenvalues)
             _assert_spectrum_is(spectrum, want)
             assert spectrum.eigenvectors.dtype == np.float64
             assert not spectrum.eigenvectors.flags.writeable
