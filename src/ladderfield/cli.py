@@ -47,20 +47,37 @@ def _fmt(x) -> str:
     return format(x, ".12g")
 
 
-def _number(text: str):
-    """int when the text is an integer literal, float otherwise."""
+def _numbers(lines: list[str]) -> list:
+    """The lines' values, their kind decided once for all of them: ints when every line is an
+    integer literal, floats otherwise.  Among floats an integer literal reads as
+    float(int(text)): -0 gives +0.0, and past the float range it raises OverflowError."""
     try:
-        return int(text)
-    except ValueError:
-        return float(text)
+        return list(map(int, lines))
+    except ValueError:  # some line is no integer literal
+        values = list(map(float, lines))
+    floats = np.array(values)
+    # float(text) rounds as float(int(text)) does, so only a -0.0 or an infinity can differ
+    for i in np.flatnonzero(np.isinf(floats) | (floats == 0.0) & np.signbit(floats)).tolist():
+        try:
+            values[i] = float(int(lines[i]))
+        except ValueError:  # a float literal keeps its float
+            pass
+    return values
+
+
+def _coupling(text: str):
+    """A coupling literal, read as a one-line values file: int or float."""
+    return _numbers([text])[0]
 
 
 def _read_values(path: str) -> np.ndarray:
-    rows = list(map(_number, _data_lines(Path(path).read_text())))
-    if not rows:
+    lines = _data_lines(Path(path).read_text())
+    if not lines:
         raise ValueError(f"no values found in {path}")
-    exact = all(isinstance(r, int) for r in rows)
+    exact = False
     try:
+        rows = _numbers(lines)
+        exact = isinstance(rows[0], int)
         return np.array(rows, dtype=np.int64 if exact else float)
     except OverflowError as exc:  # an integer literal past the int64, or the float, range
         raise ValueError(f"integer value in {path} outside the {'int64' if exact else 'float'} range") from exc
@@ -287,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="closed-form ladder spectrum as CSV")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=_number, default=1.0)
+    p.add_argument("--beta", type=_coupling, default=1.0)
     p.add_argument("--lorentzian", action="store_true", help="continue the spectrum")
     p.add_argument("--gnuplot", action="store_true", help="emit a plot script next to --output")
     common(p)
@@ -300,16 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="random",
         help="'random', 'preset:twin6', or a file of vertex values",
     )
-    p.add_argument("--alpha", type=_number, default=1)
-    p.add_argument("--beta", type=_number, default=1)
+    p.add_argument("--alpha", type=_coupling, default=1)
+    p.add_argument("--beta", type=_coupling, default=1)
     common(p)
     p.set_defaults(func=_cmd_scc)
 
     p = sub.add_parser("partition", help="restricted partition function as CSV")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--source", required=True, help="file of link values, or preset:twin6")
-    p.add_argument("--alpha", type=_number, default=1)
-    p.add_argument("--beta", type=_number, default=1)
+    p.add_argument("--alpha", type=_coupling, default=1)
+    p.add_argument("--beta", type=_coupling, default=1)
     p.add_argument("--oracle", choices=["quadrature", "mc"], default=None)
     p.add_argument("--budget", type=int, default=200_000)
     common(p)
@@ -356,6 +373,8 @@ def main(argv=None) -> int:
         parser.error("--gnuplot requires --output")
 
     try:
+        if args.seed < 0:  # every seeded draw needs a non-negative seed, and the header records it
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         # one join, with the trailing newline: no line outlives it, and no second copy of the text
         text = "\n".join([f"# version={__version__}", f"# seed={args.seed}", *args.func(args), ""])
         out = _resolve_output(args.output)

@@ -40,6 +40,7 @@ from .spectral import Spectrum, _project, _synthesize
 
 #: Default relative tolerance for the row-space membership check.
 ROW_SPACE_RTOL = 1e-9
+_MC_BLOCK = 2**16  #: doubles in the Monte Carlo oracle's one block of draws: 512 KiB, in cache
 
 
 @dataclass(frozen=True)
@@ -211,21 +212,28 @@ def brute_force_Z(
     """Evaluate the restricted integral directly, as an oracle.
 
     method='quadrature': tensor-product Gauss--Hermite with roughly
-    ``budget`` total nodes (budget^(1/d) per axis, 4 to 100), refused
+    ``budget`` >= 1 total nodes (budget^(1/d) per axis, 4 to 100), refused
     above six retained dimensions where the tensor grid stops being
     meaningful.  The integrand factorizes over modes, so the grid sum is
     computed exactly as a product of d one-dimensional sums.  The error
     estimate is the change from a half-resolution grid.
 
-    method='mc' (alias 'montecarlo'): ``budget`` importance samples
+    method='mc' (alias 'montecarlo'): ``budget`` >= 2 importance samples
     from the zero-centred mode Gaussian prod N(0, 1/a_j); the estimator
     weight is exp(J.Q).  The proposal is deliberately not centred at
     the stationary point, which would bake the answer being checked
     into the sampler.  The error estimate is one standard error of
     log Z.  The weights are log-normal with log-variance sum(Jt^2/a_j),
     so large sources starve the estimator; the result flags itself
-    underresolved when the effective sample size collapses.
+    underresolved when the effective sample size collapses.  The draws
+    pass through one fixed block, so memory is O(budget) whatever d is,
+    and the seeded result does not depend on the block's size.  The
+    seed is a non-negative integer, or None for fresh entropy.
     """
+    if isinstance(budget, bool) or not isinstance(budget, Integral):
+        raise ValueError(f"oracle budget must be an integer, got {budget!r}")
+    if seed is not None and not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     jt, a = _retained(system, spectrum, ROW_SPACE_RTOL)
     d = int(a.size)
     log_volume = float(0.5 * np.sum(np.log(2.0 * np.pi / a)))
@@ -252,30 +260,32 @@ def brute_force_Z(
         )
 
     if method in ("mc", "montecarlo"):
-        samples = int(budget)
-        if samples < 2:
+        if budget < 2:
             raise ValueError("mc oracle needs at least 2 samples")
         rng = np.random.default_rng(seed)
-        log_weights = np.empty(samples)
-        drawn = 0
-        chunk = 262_144
-        while drawn < samples:
-            m = min(chunk, samples - drawn)
-            z = rng.standard_normal((m, d))
-            z /= np.sqrt(a)  # in place: the draws become Q, with no second (m, d) array
-            log_weights[drawn : drawn + m] = np.einsum("ij,j->i", z, jt)
-            drawn += m
-        exponent = _log_mean_exp(log_weights)
-        w = np.exp(log_weights - exponent)  # weights relative to their mean
-        se_rel = float(np.std(w) / math.sqrt(samples))
-        ess = float(np.sum(w)) ** 2 / float(np.sum(w**2))
+        # C order keeps the (budget, d) draw's stream, and division is correctly rounded: no bit moves
+        rows = _MC_BLOCK // max(d, 1)
+        block, scale = np.empty(rows * d), np.tile(np.sqrt(a), rows)
+        log_weights = np.empty(budget)
+        for start in range(0, budget, rows):
+            m = min(rows, budget - start)
+            z = rng.standard_normal(out=block[: m * d])
+            z /= scale[: m * d]  # the draws become Q
+            np.einsum("ij,j->i", z.reshape(m, d), jt, out=log_weights[start : start + m])
+        top = float(np.max(log_weights))
+        w = log_weights - top  # one scratch array, for exp(log_weights - top) and then w
+        exponent = top + math.log(float(np.mean(np.exp(w, out=w))))
+        np.exp(np.subtract(log_weights, exponent, out=w), out=w)  # weights relative to their mean
+        se_rel = float(np.std(w) / math.sqrt(budget))
+        total = float(np.sum(w))
+        ess = total**2 / float(np.sum(np.square(w, out=w)))
         return PartitionResult(
             log_magnitude=log_volume + exponent,
             phase=0.0,
             restricted_dimension=d,
             exponent_term=exponent,
             error_estimate=se_rel,
-            underresolved=samples < 1_000 or ess < 1_000,
+            underresolved=bool(budget < 1_000 or ess < 1_000),
         )
 
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'/'montecarlo'")

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ladderfield.chain_complex import build_chain_complex
-from ladderfield.cli import main
+from ladderfield.cli import _read_values, main
 from ladderfield.scc import gradient_link_values
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -382,6 +384,20 @@ def test_gauge_check_refuses_a_negative_trial_count():
     assert err == "error: --trials must be a non-negative trial count, got -3\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--source", "preset:twin6", "--oracle", "mc", "--budget", "2000"),
+        ("scc", "--n", "6"),
+        ("gauge-check", "--trials", "5"),
+    ],
+)
+def test_a_negative_seed_is_refused_by_name(argv):
+    rc, out, err = run(*argv, "--seed", "-1")
+    assert (rc, out) == (1, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_scc_refuses_vertex_values_that_would_wrap(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text(f"{2**62}\n0\n0\n0\n")
@@ -405,6 +421,54 @@ def test_integer_literal_outside_the_float_range_beside_a_float_is_an_error(tmp_
     rc, out, err = run("partition" if option == "--source" else "scc", option, str(path))
     assert (rc, out) == (1, "")
     assert err == f"error: integer value in {path} outside the float range\n"
+
+
+def _per_line_values(path):
+    """The values file read line by line: int when a line is an integer literal, float otherwise."""
+
+    def number(text):
+        try:
+            return int(text)
+        except ValueError:
+            return float(text)
+
+    rows = [number(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    exact = all(isinstance(r, int) for r in rows)
+    try:
+        return np.array(rows, dtype=np.int64 if exact else float)
+    except OverflowError as exc:
+        raise ValueError(f"integer value in {path} outside the {'int64' if exact else 'float'} range") from exc
+
+
+_INTEGER_LITERALS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["-0", "+0", "-00", "0", "1_000", "-1_0", " 7 ", "\t-3", "\u0661\u0662", "-\u0660",
+                     "\uff17", str(2**63), str(-(2**63) - 1), str(10**400), f"-{10**400}",
+                     str(2**1024 - 2**970), str(2**1024 - 2**970 - 1)]),
+)
+_FLOAT_LITERALS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["-0.0", "0.0", "1e400", "-1e400", "inf", "-inf", "nan", "1_0.5", "\u0661.5", " 2.5 "]),
+)
+_BAD_LITERALS = st.sampled_from(["abc", "1__0", "0x10", "1.2.3", "_1", "--1"])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(_INTEGER_LITERALS, _FLOAT_LITERALS, _BAD_LITERALS), min_size=1, max_size=6)
+       | st.lists(_INTEGER_LITERALS, min_size=1, max_size=6))
+def test_values_file_reads_as_line_by_line(tmp_path, literals):
+    # the reader decides int or float once per file; every value and every refusal is the per-line one
+    path = tmp_path / "values.txt"
+    path.write_text("\n".join(literals) + "\n")
+    try:
+        want = _per_line_values(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _read_values(path)
+        assert str(got.value) == str(exc)
+        return
+    got = _read_values(path)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -2,6 +2,8 @@
 sampling oracles that never see the closed form."""
 
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ladderfield.chain_complex import build_chain_complex
 from ladderfield.errors import RowSpaceError
 from ladderfield.partition import (
+    _MC_BLOCK,
     _quadrature_exponent,
     brute_force_Z,
     classical_solution,
@@ -305,11 +308,15 @@ def _two_array_mc(system, s, budget, seed):
     return log_weights
 
 
-@pytest.mark.parametrize("budget", [2, 1000, 300_000])  # the last one spans two chunks
+# 300_000 spans two of the reference's chunks; the named budgets sit at the edges of the
+# oracle's block of draws, rows = _MC_BLOCK // d for the n's d = n - 1 retained modes
+@pytest.mark.parametrize("budget", [2, 1000, 300_000, "rows - 1", "rows", "rows + 1", "2 * rows"])
 @pytest.mark.parametrize("n", [4, 6, 10, 14])
 def test_in_place_sampling_is_bitwise_the_two_array_form(n, budget):
     system, _ = make_system(n, n, scale=0.5)
     s = ladder_spectrum_closed_form(n)
+    rows = _MC_BLOCK // (n - 1)
+    budget = {"rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1, "2 * rows": 2 * rows}.get(budget, budget)
     for seed in (0, 5):
         log_weights = _two_array_mc(system, s, budget, seed)
         m = float(log_weights.max())
@@ -318,6 +325,59 @@ def test_in_place_sampling_is_bitwise_the_two_array_form(n, budget):
         assert res.exponent_term == exponent
         w = np.exp(log_weights - exponent)
         assert res.error_estimate == float(np.std(w) / math.sqrt(budget))
+        ess = float(np.sum(w)) ** 2 / float(np.sum(w**2))
+        assert res.underresolved == (budget < 1_000 or ess < 1_000)
+
+
+def test_sampling_oracle_memory_is_a_few_budget_sized_arrays():
+    # the weights, one scratch array and np.std's temporary: no (budget, d) array of draws
+    system, _ = make_system(14, 14, scale=0.5)
+    s = ladder_spectrum_closed_form(14)
+    brute_force_Z(system, s, method="mc", budget=2)  # any lazy spectrum field is built untraced
+    budget = 10**6
+    tracemalloc.start()
+    try:
+        brute_force_Z(system, s, method="mc", budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * budget
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("budget", [2.5, 1000.0, "100", True, float("inf"), None])
+def test_oracles_refuse_a_budget_that_is_no_integer(method, budget):
+    system, _ = make_system(4, 0)
+    s = ladder_spectrum_closed_form(4)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'oracle budget must be an integer, got {budget!r}')}$"):
+        brute_force_Z(system, s, method=method, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [1, 0, -5])
+def test_sampling_oracle_refuses_a_budget_below_two(budget):
+    system, _ = make_system(4, 0)
+    s = ladder_spectrum_closed_form(4)
+    with pytest.raises(ValueError, match="^mc oracle needs at least 2 samples$"):
+        brute_force_Z(system, s, method="mc", budget=budget)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "mc"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", np.float64(2.0)])
+def test_oracles_refuse_a_seed_that_is_no_non_negative_integer(method, seed):
+    system, _ = make_system(4, 0)
+    s = ladder_spectrum_closed_form(4)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be a non-negative integer, got {seed!r}')}$"):
+        brute_force_Z(system, s, method=method, budget=2000, seed=seed)
+
+
+def test_sampling_oracle_takes_numpy_integers_and_a_fresh_seed():
+    system, _ = make_system(4, 2, scale=0.5)
+    s = ladder_spectrum_closed_form(4)
+    plain = brute_force_Z(system, s, method="mc", budget=500, seed=7)
+    res = brute_force_Z(system, s, method="mc", budget=np.int64(500), seed=np.uint32(7))
+    assert res == plain and type(res.underresolved) is bool
+    fresh = brute_force_Z(system, s, method="mc", budget=5000, seed=None)
+    assert fresh.restricted_dimension == plain.restricted_dimension
 
 
 def test_gauge_direction_does_not_move_observables():
