@@ -6,7 +6,9 @@ projects onto every mode through one DCT-II of its rail sum and difference,
 and a sum of modes is one DCT-III back; the phase split's sine sums are a
 DST-I.  Each is unnormalised, acts along the last axis and runs on numpy.fft
 (Makhoul, IEEE TASSP 28(1), 1980): O(N log N) time, O(N) memory, and single
-threaded, so no result depends on the BLAS thread count.
+threaded, so no result depends on the BLAS thread count.  A transform on
+m points reads its twiddles, and a basis its rail scales, from the ladder
+table of N = 2m, which builds them once per N.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .chain_complex import _BuiltOnFirstRead, _frozen, _ReadOnlyState
+from .chain_complex import _BuiltOnFirstRead, _frozen, _kept, _ReadOnlyState
 
 #: Entries of the largest block of columns pivot_signs reads at once.
 _BLOCK_ENTRIES = 1 << 18
@@ -47,16 +49,28 @@ def rails(x: np.ndarray) -> np.ndarray:
     return np.stack((left + right, left - right))
 
 
+def _factors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DCT-II and DCT-III twiddles on m = N/2 points and the rail scales, kept in the ladder table."""
+    return _kept(n, "dct", partial(_build_factors, n))
+
+
+def _build_factors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k = np.arange(n // 2)
+    forward, backward = np.exp(-0.5j * np.pi * k / k.size), np.exp(0.5j * np.pi * k / k.size)
+    scale = np.sqrt(np.where(k == 0, 1.0, 2.0) / n)  # x_j's norm: sqrt(1/N) at j = 0, sqrt(2/N) after
+    return _frozen(forward), _frozen(backward), _frozen(scale)
+
+
 def dct2(y: np.ndarray) -> np.ndarray:
     """sum_k y_k cos(pi j (2k + 1) / 2m) for j < m, where m is the last axis's length."""
     m = y.shape[-1]
-    return (np.fft.rfft(y, 2 * m)[..., :m] * np.exp(-0.5j * np.pi * np.arange(m) / m)).real
+    return (np.fft.rfft(y, 2 * m)[..., :m] * _factors(2 * m)[0]).real
 
 
 def dct3(w: np.ndarray) -> np.ndarray:
     """The transpose of dct2: sum_j w_j cos(pi j (2k + 1) / 2m) for k < m."""
     m = w.shape[-1]
-    z = w * np.exp(0.5j * np.pi * np.arange(m) / m)
+    z = w * _factors(2 * m)[1]
     z[..., 0] *= 2.0  # irfft counts every other term twice, with its conjugate
     return m * np.fft.irfft(z, 2 * m)[..., :m]
 
@@ -103,12 +117,9 @@ class LadderBasis(_ReadOnlyState):
         self.modes = _frozen(modes)
         self.signs = partial(column_signs, modes.size)
 
-    def _scale(self) -> np.ndarray:
-        return np.sqrt(np.where(np.arange(self.modes.size // 2) == 0, 1.0, 2.0) / self.modes.size)
-
     def project(self, x: np.ndarray, signed: bool = True) -> np.ndarray:
         """x's component along each column, or along its mode before the sign fix."""
-        p = (dct2(rails(x)) * self._scale()).T.ravel()[self.modes]
+        p = (dct2(rails(x)) * _factors(self.modes.size)[2]).T.ravel()[self.modes]
         return p * self.signs[self.modes // 2] if signed else p
 
     def vectors(self) -> np.ndarray:
@@ -124,4 +135,4 @@ class LadderBasis(_ReadOnlyState):
         """The sum of coeffs[i] times column i's mode, before its sign fix."""
         modal = np.empty(self.modes.size)
         modal[self.modes] = coeffs
-        return dct3(rails(modal.reshape(-1, 2).T.ravel()) * self._scale()).ravel()
+        return dct3(rails(modal.reshape(-1, 2).T.ravel()) * _factors(self.modes.size)[2]).ravel()

@@ -25,6 +25,10 @@ per plaquette column of d2.  Operators, sources, gradients and validation
 read the triplets; the dense int64 d1 and d2 are built only when first read.
 A ChainComplex given dense matrices derives its triplets once, on
 construction.  Arrays handed out are read-only, pickled and copied ones too.
+
+The triplets of one N, and what the other modules derive from N alone, are
+kept for the most recent N in one table (``_kept``); every public object
+made from them is fresh, and builds its own dense fields.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from numbers import Integral
 
 import numpy as np
@@ -188,23 +192,23 @@ class _Nonzeros(_ReadOnlyState):
     def dtype(self) -> np.dtype:
         return self.vals.dtype
 
-    @property
+    @cached_property
     def T(self) -> "_Nonzeros":
-        """The transpose, sharing the entry arrays."""
+        """The transpose, sharing the entry arrays; built on first read and kept."""
         return _Nonzeros(self.shape[::-1], self.cols, self.rows, self.vals, self.zero)
+
+    @cached_property
+    def max_row_l1(self) -> int:
+        """The largest row L1 norm of an integer matrix, summed in uint64; kept once read."""
+        sums = np.zeros(self.shape[0], dtype=np.uint64)
+        np.add.at(sums, self.rows, np.abs(self.vals).astype(np.uint64))
+        return int(sums.max(initial=0))
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """The matrix times the vector ``x``, in the dtype ``matrix @ x`` has."""
         out = np.zeros(self.shape[0], dtype=np.result_type(self.vals, x))
         np.add.at(out, self.rows, self.vals * x[self.cols])
         return out
-
-
-def _max_row_l1(matrix: _Nonzeros) -> int:
-    """The largest row L1 norm of an integer matrix, summed in uint64."""
-    sums = np.zeros(matrix.shape[0], dtype=np.uint64)
-    np.add.at(sums, matrix.rows, np.abs(matrix.vals).astype(np.uint64))
-    return int(sums.max(initial=0))
 
 
 def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | None = None) -> bool:
@@ -216,7 +220,7 @@ def _exact_route(scalar, x: np.ndarray, matrix: _Nonzeros | None = None) -> bool
     arrays = (x,) if matrix is None else (x, matrix)
     if not isinstance(scalar, Integral) or not all(a.dtype.kind in "iu" for a in arrays):  # signed or unsigned
         return False
-    row_l1 = 1 if matrix is None else _max_row_l1(matrix)
+    row_l1 = 1 if matrix is None else matrix.max_row_l1
     max_x = max(int(x.max(initial=0)), -int(x.min(initial=0)))
     if abs(int(scalar)) * max(row_l1 * max_x, 1) >= 2**63:
         raise ValueError(
@@ -369,14 +373,32 @@ def _ladder_boundaries(n: int) -> tuple[_Nonzeros, _Nonzeros]:
     return _signed_incidence(n, ends * (-1, 1)), _signed_incidence(ends.shape[0], walks)
 
 
+@lru_cache(maxsize=1)
+def _ladder_table(n: int) -> dict:
+    """What the operators of the N-vertex ladder derive from N alone, for the most recent N: kind -> (key, value)."""
+    return {}
+
+
+def _kept(n: int, kind, build, key=None):
+    """build() for ``kind``, kept in the ladder table of N until a call with another ``key`` replaces it.
+
+    A value is read-only and holds O(N) arrays, never an N x N one or a public object.
+    """
+    table = _ladder_table(n)
+    held = table.get(kind)
+    if held is None or held[0] != key:
+        held = table[kind] = (key, build())
+    return held[1]
+
+
 def boundary_1(graph: LadderGraph) -> np.ndarray:
     """Vertex-by-link incidence matrix: column = +1 at head, -1 at tail."""
-    return _ladder_boundaries(graph.n_vertices)[0]()
+    return ChainComplex.from_graph(graph).d1
 
 
 def boundary_2(graph: LadderGraph) -> np.ndarray:
     """Link-by-plaquette matrix of signed boundary walks."""
-    return _ladder_boundaries(graph.n_vertices)[1]()
+    return ChainComplex.from_graph(graph).d2
 
 
 class _LazyBoundaries(_ReadOnlyState):
@@ -390,7 +412,8 @@ class ChainComplex(_LazyBoundaries):
     """Boundary pair (d1, d2) with d1 @ d2 == 0, held as their nonzeros.
 
     ``nonzeros`` holds the (d1, d2) triplets, taken on construction from the
-    dense matrices a caller passes; every operator reads them.  The dense
+    dense matrices a caller passes, or shared with the ladder table by
+    build_chain_complex and from_graph; every operator reads them.  The dense
     ``d1`` and ``d2`` are built from them on first read and kept.  ``repr``
     leaves both out, and ``==`` is identity, so neither builds them.
     """
@@ -405,7 +428,7 @@ class ChainComplex(_LazyBoundaries):
 
     @classmethod
     def from_graph(cls, graph: LadderGraph) -> "ChainComplex":
-        return cls(*_ladder_boundaries(graph.n_vertices))
+        return _ladder_complex(cls, graph.n_vertices)
 
     def __repr__(self) -> str:
         return (
@@ -428,7 +451,14 @@ class ChainComplex(_LazyBoundaries):
 
 def build_chain_complex(n_vertices: int) -> ChainComplex:
     """Ladder graph boundary operators for the given vertex count, from one set of index arrays."""
-    return ChainComplex(*_ladder_boundaries(check_n(n_vertices)))
+    return _ladder_complex(ChainComplex, check_n(n_vertices))
+
+
+def _ladder_complex(cls, n: int) -> ChainComplex:
+    """A fresh complex on the ladder table's boundaries, marked so its operators read the table too."""
+    c = cls(*_kept(n, "boundaries", partial(_ladder_boundaries, n)))
+    vars(c)["_ladder"] = True
+    return c
 
 
 @dataclass(frozen=True)
@@ -570,6 +600,6 @@ INTERLEAVED_FROM_RAIL_MAJOR = (1, 3, 5, 6, 4, 2, 7)
 
 def six_vertex_interleaved_complex() -> ChainComplex:
     """The N=6 boundary pair with links renumbered per the interleaved order."""
-    c = build_chain_complex(6)
+    d1, d2 = (d() for d in _ladder_boundaries(6))  # built apart from the ladder table
     order = np.argsort(INTERLEAVED_FROM_RAIL_MAJOR)  # rail-major index of each interleaved link
-    return ChainComplex(c.d1[:, order], c.d2[order])
+    return ChainComplex(d1[:, order], d2[order])

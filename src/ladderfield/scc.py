@@ -16,7 +16,9 @@ any J produced this way sums to zero (a divergence-free source).
 
 An SccSystem from build_system keeps K as those nonzeros, and
 ``verify_scc`` reads only them; the dense N x N K is built on its first
-read.  A system given a dense K derives its nonzeros from that K.
+read.  A system given a dense K derives its nonzeros from that K.  On a
+ladder complex the unit-coupling d @ d.T comes from the ladder table, so
+each call only scales its values by beta.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .chain_complex import (
     _exact_route,
     _finite,
     _frozen,
+    _kept,
     _Nonzeros,
     _product,
     _ReadOnlyState,
@@ -93,7 +96,10 @@ def _operator(c: ChainComplex, n: int, beta: float) -> _Nonzeros:
     """The nonzeros of K = beta * d_n @ d_n.T; integer beta keeps them exact."""
     d = _select_boundary(c, n)
     exact = _exact_route(check_coupling(beta), d.vals, d)
-    gram = _product(d, d.T, np.int64 if exact else float)
+    if vars(c).get("_ladder"):  # kept per N in int64: its small integers read as the floats a float sum gives
+        gram = _kept(c.n_vertices, ("gram", n), lambda: _product(d, d.T, np.int64))
+    else:
+        gram = _product(d, d.T, np.int64 if exact else float)
     if exact:  # bounded already
         vals = gram.vals * int(beta)
     else:

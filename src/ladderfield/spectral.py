@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .chain_complex import (
     _BuiltOnFirstRead,
     _finite,
     _frozen,
+    _kept,
     _ReadOnlyState,
     check_coupling,
     check_n,
@@ -151,12 +152,13 @@ def _assemble(vals, build_vecs, parity, beta, regime) -> Spectrum:
                     degeneracy_groups=partial(_degeneracy_groups, vals), beta=float(beta), regime=regime)
 
 
-def _from_modes(vals: np.ndarray, modes: np.ndarray, beta, regime) -> Spectrum:
-    """A closed-form or continued spectrum, vals[i] the eigenvalue of mode modes[i] of ladder_eigenvalues:
-    sorted stably by eigenvalue, with every tag from the mode indices and none from a threshold."""
+def _mode_tags(vals: np.ndarray, modes: np.ndarray, beta, continued: bool) -> tuple:
+    """A closed-form or continued spectrum's arrays, vals[i] the eigenvalue of mode modes[i] of
+    ladder_eigenvalues: sorted stably by eigenvalue, with every tag from the mode indices and none
+    from a threshold."""
     order = np.argsort(vals, kind="stable")
     basis = LadderBasis(modes[order])
-    n, continued = modes.size, regime == "lorentzian"
+    n = modes.size
     column = np.empty(n, dtype=int)
     column[basis.modes] = np.arange(n)
     if beta == 0:  # every eigenvalue is 0: all zero modes, in one group
@@ -165,11 +167,21 @@ def _from_modes(vals: np.ndarray, modes: np.ndarray, beta, regime) -> Spectrum:
         zero = sorted(column[zero_modes(n, continued)].tolist())
         joined = [min(column[a], column[b]) for a, b in degenerate_pairs(n, continued)]
     parity = np.array([SYMMETRIC, ANTISYMMETRIC], dtype=object)[basis.modes % 2].tolist()
-    spectrum = Spectrum(eigenvalues=_frozen(vals[order]), eigenvectors=basis.vectors, parity=tuple(parity),
-                        zero_modes=tuple(zero), degeneracy_groups=partial(_groups, n, joined),
-                        beta=float(beta), regime=regime)
+    return _frozen(vals[order]), basis, tuple(parity), tuple(zero), tuple(joined)
+
+
+def _from_modes(tags: tuple, beta, regime) -> Spectrum:
+    """A fresh spectrum, with its own lazy fields, around the values of _mode_tags."""
+    vals, basis, parity, zero, joined = tags
+    spectrum = Spectrum(eigenvalues=vals, eigenvectors=basis.vectors, parity=parity, zero_modes=zero,
+                        degeneracy_groups=partial(_groups, vals.size, joined), beta=float(beta), regime=regime)
     object.__setattr__(spectrum, "_basis", basis)  # an instance attribute, not a field, so replace() drops it
     return spectrum
+
+
+def _closed_form_tags(n: int, beta) -> tuple:
+    vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(n))
+    return _mode_tags(vals, np.arange(n), beta, continued=False)
 
 
 def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
@@ -177,11 +189,16 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
 
     Eigenvalues are beta (lam_j -+ 1) as in the module docstring;
     eigenvectors come out orthonormal by construction, on first read.
+    The spectra of one (N, beta) share its kept eigenvalues, tags and basis,
+    so its pivot signs are built once.  A real beta is keyed by type and
+    repr, so 0, 0.0 and -0.0 are three keys; any other is built per call.
     """
     n = check_n(n_vertices)
     beta = check_coupling(beta)
-    vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(n))
-    return _from_modes(vals, np.arange(n), beta, "euclidean")
+    build = partial(_closed_form_tags, n, beta)
+    key = (type(beta), repr(beta))
+    tags = _kept(n, "closed form", build, key) if isinstance(beta, Real) else build()
+    return _from_modes(tags, beta, "euclidean")
 
 
 def parity_swap_matrix(n_vertices: int) -> np.ndarray:
@@ -265,7 +282,7 @@ def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
     antisymmetric = basis.modes % 2 if basis is not None else np.array(spectrum.parity, dtype=object) == ANTISYMMETRIC
     vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
     if basis is not None:  # sorted from the parent's order, so tied values keep their columns
-        return _from_modes(vals, basis.modes, spectrum.beta, "lorentzian")
+        return _from_modes(_mode_tags(vals, basis.modes, spectrum.beta, True), spectrum.beta, "lorentzian")
     # the parent's vectors, read (and kept by the parent) only when these are
     return _assemble(vals, partial(getattr, spectrum, "eigenvectors"), spectrum.parity, spectrum.beta, "lorentzian")
 

@@ -63,7 +63,7 @@ LORENTZIAN = "lorentzian"
 #: Relative threshold for "the singular mode is excited" in the Lorentzian regime.
 OBSTRUCTION_RTOL = 1e-9
 
-#: Absolute error within which TrigIdentityReport.passed accepts the identities.
+#: Error, relative to max(1, |identity value|), within which TrigIdentityReport.passed accepts the identities.
 TRIG_ATOL = 1e-9
 
 #: Absolute phase slack (radians) for flagging a sweep row as an exact maximum.
@@ -258,12 +258,13 @@ def phase_decomposition(
 
 @dataclass(frozen=True)
 class TrigIdentityReport:
-    """Worst absolute errors of the identities underlying the phase split.
+    """Worst errors of the identities underlying the phase split.
 
     sine_sum: sum_{k=1}^{N/2-1} sin(2 pi j k / N) equals 0 for even j
     and cot(j pi / N) for odd j.  cot_square: sum_{k=1}^{n}
     cot^2((pi/2)(2k-1)/(2n)) = 2 n^2 - n.  composite: summing the
-    squared odd-j sine sums gives ((N-2)/4)(N/2).
+    squared odd-j sine sums gives ((N-2)/4)(N/2).  Each error is taken
+    relative to max(1, |identity value|), as the cot^2 sum grows as 2 n^2.
     """
 
     n_vertices: int
@@ -279,6 +280,11 @@ class TrigIdentityReport:
         return self.max_error <= TRIG_ATOL
 
 
+def _relative_error(computed, value):
+    """|computed - value| / max(1, |value|), entry by entry."""
+    return np.abs(computed - value) / np.maximum(np.abs(value), 1.0)
+
+
 def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
     """Check the closed-form sine/cotangent identities numerically for this N."""
     n = check_n(n_vertices)
@@ -287,14 +293,14 @@ def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
     j = np.arange(1, half)
     direct = dst1(np.ones(half - 1))  # entry j sums sin(2 pi j k / N) over k = 1 .. N/2 - 1
     expected = np.where(j % 2, 1.0 / np.tan(j * np.pi / n), 0.0)
-    sine_err = float(np.max(np.abs(direct - expected), initial=0.0))
-    composite_err = abs(float(np.sum(direct**2)) - ((n - 2) / 4.0) * (n / 2.0))
+    sine_err = float(np.max(_relative_error(direct, expected), initial=0.0))
+    composite_err = float(_relative_error(float(np.sum(direct**2)), ((n - 2) / 4.0) * (n / 2.0)))
 
     cot_err = 0.0
     for m in range(1, half + 1):
         kk = np.arange(1, m + 1)
         direct = float(np.sum(1.0 / np.tan((math.pi / 2.0) * (2 * kk - 1) / (2 * m)) ** 2))
-        cot_err = max(cot_err, abs(direct - (2.0 * m * m - m)))
+        cot_err = max(cot_err, float(_relative_error(direct, 2.0 * m * m - m)))
 
     return TrigIdentityReport(
         n_vertices=n,

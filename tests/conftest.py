@@ -1,9 +1,20 @@
-"""Terminal summary: one verdict line per acceptance criterion."""
+"""Terminal summary: one verdict line per acceptance criterion; an empty ladder table per test."""
 
 import re
 
+import pytest
+
+from ladderfield.chain_complex import _ladder_table
+
 _CRITERIA: dict[str, dict] = {}
 _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
+
+
+@pytest.fixture(autouse=True)
+def _empty_ladder_table():
+    """Each test starts with no ladder size kept, so no result depends on the tests run before it.
+    Tests of the table itself make their warm calls explicitly."""
+    _ladder_table.cache_clear()
 
 
 def pytest_runtest_logreport(report):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from ladderfield import scc
 from ladderfield.chain_complex import (
     ChainComplex,
     INTERLEAVED_FROM_RAIL_MAJOR,
@@ -22,9 +23,11 @@ from ladderfield.chain_complex import (
     build_ladder_graph,
     parse_graph,
     serialize_graph,
+    _ladder_table,
     six_vertex_interleaved_complex,
     validate_complex,
 )
+from ladderfield.scc import build_system
 
 # Six-vertex reference matrices in the interleaved link order:
 # temporal links alternate between the rails before the rungs appear.
@@ -441,3 +444,59 @@ def test_graph_copies_round_trip_before_and_after_the_first_read(copy_of, read_f
         assert serialize_graph(copied) == serialize_graph(graph)
         assert copied == graph == loop_built(n)[0] and hash(copied) == hash(graph)
         assert repr(copied) == repr(graph)
+
+
+# --- the ladder table: one N's boundaries, built once ---------------------------
+
+
+def _triplets(c):
+    """Every byte of a complex's nonzeros and of their transposes, with dtypes and row-L1 bounds."""
+    return [
+        (nz.shape, nz.zero, nz.max_row_l1, *((a.dtype.str, a.tobytes()) for a in (nz.rows, nz.cols, nz.vals)))
+        for d in c.nonzeros
+        for nz in (d, d.T)
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 6, 44, 512])
+def test_a_warm_complex_is_bitwise_a_cold_one(n):
+    _ladder_table.cache_clear()
+    cold = build_chain_complex(n)
+    cold_triplets = _triplets(cold)
+    for warm in (build_chain_complex(n), ChainComplex.from_graph(build_ladder_graph(n))):
+        assert _triplets(warm) == cold_triplets
+        assert_array_equal(warm.d1, cold.d1)
+        assert_array_equal(warm.d2, cold.d2)
+        assert_array_equal(boundary_1(build_ladder_graph(n)), cold.d1)
+        assert_array_equal(boundary_2(build_ladder_graph(n)), cold.d2)
+    assert _ladder_table.cache_info().hits >= 4  # every call after the first found the table
+
+
+def test_each_call_returns_a_fresh_complex_whose_dense_boundaries_are_its_own():
+    c1, c2 = build_chain_complex(8), build_chain_complex(8)
+    assert c1 is not c2 and c1.nonzeros is not c2.nonzeros
+    c1.d1, c1.d2
+    assert callable(vars(c2)["d1"]) and callable(vars(c2)["d2"])
+    assert c2.nonzeros == _ladder_table(8)["boundaries"][1]
+
+
+def test_the_table_keeps_one_size():
+    build_chain_complex(8)
+    build_chain_complex(10)
+    assert _ladder_table.cache_info().currsize == 1
+    assert _ladder_table(10)["boundaries"][1][0].shape == (10, 13)
+
+
+def test_complexes_from_dense_matrices_sum_their_pairs_and_leave_the_table_untouched(monkeypatch):
+    canonical = build_chain_complex(6)
+    dense = ChainComplex(np.array(canonical.d1), np.array(canonical.d2))
+    _ladder_table.cache_clear()
+    calls = []
+    product = scc._product
+    monkeypatch.setattr(scc, "_product", lambda *args: calls.append(args) or product(*args))
+    before = _ladder_table.cache_info()
+    for c in (six_vertex_interleaved_complex(), dense, ChainComplex(D1_SIX, D2_SIX)):
+        for beta in (2, 2.0):
+            assert_array_equal(build_system(c, 1, np.arange(7), beta=beta).K, beta * (c.d1 @ c.d1.T))
+    assert len(calls) == 6  # one pair product per system
+    assert _ladder_table.cache_info() == before

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ladderfield import scc
 from ladderfield.chain_complex import (
     ChainComplex,
+    _ladder_table,
     build_chain_complex,
     six_vertex_interleaved_complex,
     validate_complex,
@@ -501,3 +503,58 @@ def test_equality_is_identity_and_leaves_the_dense_K_unbuilt():
     assert len({system, alike}) == 2
     for s in (system, alike):
         assert callable(vars(s)["K"]) and callable(vars(s)["boundary"])
+
+
+# --- the ladder table: each size's unit operator built once -----------------------
+
+TABLE_SIZES = [4, 6, 44, 512]
+TABLE_BETAS = [0, 0.0, -0.0, 1, 1.0, True, -2, 2.5, 1e-320]
+
+
+def _system_bytes(system):
+    K = system._nonzeros
+    return [
+        (a.dtype.str, a.tobytes())
+        for a in (K.rows, K.cols, K.vals, np.asarray(K.zero), system.K, system.J, system.boundary)
+    ] + [repr(system)]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_warm_system_is_bitwise_a_cold_one(degree):
+    rng = np.random.default_rng(21)
+    for n in TABLE_SIZES:
+        c = build_chain_complex(n)
+        d = c.nonzeros[degree - 1]
+        e = rng.integers(-9, 10, size=d.shape[1])
+        cold = {}
+        for beta in TABLE_BETAS:
+            _ladder_table.cache_clear()
+            cold[beta, repr(beta)] = _system_bytes(build_system(build_chain_complex(n), degree, e, 2, beta))
+        # alternating order: each beta follows another on a table that already holds the operator
+        for beta in TABLE_BETAS[::2] + TABLE_BETAS[1::2] + TABLE_BETAS[::-1]:
+            assert _system_bytes(build_system(c, degree, e, 2, beta)) == cold[beta, repr(beta)]
+            assert_bitwise(build_operator(c, degree, beta), build_system(c, degree, e, 2, beta).K)
+        assert _ladder_table.cache_info().currsize == 1
+
+
+def test_each_call_returns_a_fresh_system_whose_dense_K_is_its_own():
+    c = build_chain_complex(8)
+    e = gradient_link_values(c, np.arange(8))
+    s1, s2 = build_system(c, 1, e, beta=3), build_system(c, 1, e, beta=3)
+    assert s1 is not s2 and s1._nonzeros is not s2._nonzeros
+    s1.K, s1.boundary
+    assert callable(vars(s2)["K"]) and callable(vars(s2)["boundary"])
+    assert_bitwise(s2.K, s1.K)
+    assert s2.K is not s1.K
+
+
+def test_a_warm_ladder_system_only_scales_the_kept_operator(monkeypatch):
+    calls = []
+    product = scc._product
+    monkeypatch.setattr(scc, "_product", lambda *args: calls.append(args) or product(*args))
+    c = build_chain_complex(10)
+    e = gradient_link_values(c, np.arange(10))
+    for degree in (1, 2):
+        for beta in (3, -2.5, 3, 0.0):
+            build_system(c, degree, e if degree == 1 else np.arange(4), beta=beta)
+    assert len(calls) == 2  # one unit-coupling operator per boundary, built on its first use

@@ -12,10 +12,12 @@ from scipy.linalg import subspace_angles
 
 from ladderfield import _ladder_transform
 from ladderfield._ladder_transform import column_signs, cosine_block
-from ladderfield.chain_complex import build_chain_complex
+from ladderfield.chain_complex import ChainComplex, _ladder_table, build_chain_complex
 from ladderfield.partition import classical_solution, euclidean_Z, project_source
-from ladderfield.scc import build_operator, build_system, gradient_link_values, null_space_basis
+from ladderfield.scc import SccSystem, build_operator, build_system, gradient_link_values, null_space_basis
 from ladderfield.spectral import (
+    Spectrum,
+    _project,
     _degeneracy_groups,
     _zero_mode_indices,
     continue_to_lorentzian,
@@ -621,3 +623,96 @@ def test_a_float_operator_takes_an_integer_coupling_past_the_int64_range():
     shift = 2.0 * (np.eye(6) - parity_swap_matrix(6))
     assert KM.dtype == np.float64
     assert_array_equal(KM, K - 2.0**62 * shift)
+
+
+# --- the ladder table: each (N, beta)'s closed-form modes built once ----------------
+
+TABLE_SIZES = [4, 6, 44, 512]
+TABLE_BETAS = [0, 0.0, -0.0, 1, 1.0, True, -2, 2.5, 1e-320]
+
+
+def _outcome(f):
+    """f()'s value, or the type and message of what it raised: a refusal must be the same too."""
+    try:
+        return f()
+    except Exception as err:  # compared with the cold call's, not handled
+        return type(err), str(err)
+
+
+def _closed_form_bytes(n, beta, system):
+    s = ladder_spectrum_closed_form(n, beta)
+    arrays = [s.eigenvalues, _project(s, system.J, True), _project(s, system.J, False)]
+    return [
+        [(a.dtype.str, a.tobytes()) for a in arrays],
+        s.parity, s.zero_modes, s.degeneracy_groups, s.beta, repr(s),
+        _outcome(lambda: project_source(system.J, s).tobytes()),
+        _outcome(lambda: euclidean_Z(system, s)),
+        _outcome(lambda: classical_solution(system, s).tobytes()),
+    ]
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_a_warm_closed_form_is_bitwise_a_cold_one(n):
+    c = build_chain_complex(n)
+    v = np.random.default_rng(n).integers(-9, 10, size=n)
+    system = build_system(c, 1, gradient_link_values(c, v))
+    cold = {}
+    for beta in TABLE_BETAS:
+        _ladder_table.cache_clear()
+        cold[beta, repr(beta)] = _closed_form_bytes(n, beta, system)
+    # alternating order: each beta follows another on a table that already holds this N
+    for beta in TABLE_BETAS[::2] + TABLE_BETAS[1::2] + TABLE_BETAS[::-1]:
+        assert _closed_form_bytes(n, beta, system) == cold[beta, repr(beta)]
+
+
+def test_zero_couplings_of_each_type_keep_their_sign_bits():
+    for beta, negative in [(0, False), (0.0, False), (-0.0, True), (0, False), (-0.0, True), (0.0, False)]:
+        vals = ladder_spectrum_closed_form(8, beta).eigenvalues
+        assert np.all(np.signbit(vals) == negative)
+    assert ladder_spectrum_closed_form(8, True).beta == 1.0
+
+
+def test_each_call_returns_a_fresh_spectrum_around_one_basis():
+    s1, s2 = ladder_spectrum_closed_form(8, 3), ladder_spectrum_closed_form(8, 3)
+    assert s1 is not s2 and s1._basis is s2._basis
+    s1.eigenvectors, s1.degeneracy_groups
+    assert callable(vars(s2)["eigenvectors"]) and callable(vars(s2)["degeneracy_groups"])
+    assert_array_equal(s2.eigenvectors, s1.eigenvectors)
+    assert s2.eigenvectors is not s1.eigenvectors
+    # the pivot signs of one (N, beta) are built once, by whichever spectrum reads them first
+    assert callable(vars(s2._basis)["signs"])
+    project_source(np.arange(8.0) - 3.5, s1)
+    assert not callable(vars(s2._basis)["signs"])
+    assert ladder_spectrum_closed_form(8, 2)._basis is not s1._basis
+
+
+def _table_contents(obj):
+    """Every object the ladder table reaches through its attributes and containers."""
+    seen, stack = [], [obj]
+    while stack:
+        x = stack.pop()
+        seen.append(x)
+        if isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif hasattr(x, "__dict__") and not isinstance(x, type):  # the types in a key are not walked
+            stack.extend(vars(x).values())
+    return seen
+
+
+def test_the_table_holds_arrays_of_one_size_and_no_public_object():
+    n = 64
+    c = build_chain_complex(n)
+    system = build_system(c, 1, gradient_link_values(c, np.arange(n)), beta=2)
+    system.K, c.d1, c.d2
+    for beta in (2, 2.0):
+        s = ladder_spectrum_closed_form(n, beta)
+        project_source(system.J, s), euclidean_Z(system, s), classical_solution(system, s)
+        s.eigenvectors, continue_to_lorentzian(s, n).eigenvectors
+    contents = _table_contents(_ladder_table(n))
+    arrays = [x for x in contents if isinstance(x, np.ndarray)]
+    assert arrays and all(a.ndim == 1 and a.size <= 4 * n and not a.flags.writeable for a in arrays)
+    public = (ChainComplex, SccSystem, Spectrum)
+    assert not any(isinstance(x, public) for x in contents)
+    assert _ladder_table.cache_info().currsize == 1

@@ -247,6 +247,15 @@ def test_trig_identities_across_sizes(n):
     assert report.max_error <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1912, 2000, 8000])
+def test_trig_identities_pass_where_the_cot_square_sum_is_large(n):
+    # the cot^2 sum reaches about 1.8e6 at N=1912 and 3.2e7 at N=8000; its
+    # rounding error there exceeds 1e-9 in absolute terms, about 6e-16 relative
+    report = trig_lemmas(n)
+    assert report.passed()
+    assert report.max_error <= 1e-12
+
+
 # --- conditional amplitudes --------------------------------------------------
 
 
