@@ -24,9 +24,12 @@ _BLOCK_ENTRIES = 1 << 18
 
 
 def ladder_eigenvalues(n: int) -> np.ndarray:
-    """Unit-coupling eigenvalues: lam_j - 1 (symmetric) in place 2j, lam_j + 1 in place 2j + 1."""
-    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2) / n)
-    return np.stack((lam - 1.0, lam + 1.0), axis=1).ravel()
+    """Unit-coupling eigenvalues: lam_j - 1 (symmetric) in place 2j, lam_j + 1 in place 2j + 1; read-only,
+    kept in the ladder table, as the phase split reads them per configuration."""
+    def build():
+        lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2) / n)
+        return _frozen(np.stack((lam - 1.0, lam + 1.0), axis=1).ravel())
+    return _kept(n, "eigenvalues", build)
 
 
 def zero_modes(n: int, continued: bool) -> list[int]:

@@ -27,7 +27,7 @@ class RowSpaceError(ValueError):
 class GaugeObstruction(ValueError):
     """Raised when the continued operator is singular along a mode the source excites.
 
-    ``mode_index`` identifies the offending closed-form mode number.
+    ``mode_index`` is j = N/4, the antisymmetric mode the continuation puts at eigenvalue zero.
     """
 
     def __init__(self, message: str, mode_index: int):

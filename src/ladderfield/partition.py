@@ -85,14 +85,20 @@ def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float, signed: b
     proj = _project(spectrum, J, signed)
     if spectrum.zero_modes and row_space_tol < np.inf:  # numpy.inf skips the check
         worst = float(np.max(np.abs(proj[list(spectrum.zero_modes)])))
-        # in units of a power of two near max|J|: each division is exact, and |J| cannot overflow
-        unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(J))))[1] - 1)
-        if worst / unit > row_space_tol * max(float(np.linalg.norm(J / unit)), 1e-300 / unit):
+        if _outside_row_space(worst, J, row_space_tol):
             raise RowSpaceError(
                 "source violates self-consistency: component "
                 f"{worst:.6e} along a zero mode (gauge-volume divergence)"
             )
     return proj
+
+
+def _outside_row_space(component: float, J: np.ndarray, rtol: float = ROW_SPACE_RTOL) -> bool:
+    """The row-space rule: a source is refused when its component along a zero mode exceeds
+    ``ROW_SPACE_RTOL`` (``rtol``) times |J|, so a zero source (alpha = 0) never is.  The comparison
+    runs in units of a power of two near max|J|: each division is exact, and |J| cannot overflow."""
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(J))))[1] - 1)
+    return abs(component) / unit > rtol * max(float(np.linalg.norm(J / unit)), 1e-300 / unit)
 
 
 def _nonzero_mask(spectrum: Spectrum) -> np.ndarray:

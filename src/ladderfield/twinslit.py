@@ -18,13 +18,14 @@ pieces, Phi = (Phi_S + Phi_T + Phi_ST) / (2 hbar beta), with
           + sum_k ex_k cos((2k - 1) j pi / N)
 
 with j, k running 1 .. N/2 - 1 (k to N/2 in the spatial sum), eL / eR
-the left / right rail temporal links and ex the rungs.  In the
-Euclidean regime d_j = 1 + 2 sin^2(j pi / N) and Phi_S takes the plus
-sign; the Lorentzian continuation flips the Phi_S sign and replaces the
-denominator by -1 + 2 sin^2(j pi / N), which vanishes at j = N/4.  For
-N divisible by 4 that mode is a genuine second null direction: a
-configuration exciting it has no finite phase, and this module raises
-GaugeObstruction for it.
+the left / right rail temporal links and ex the rungs.  The mixed
+denominators d_j are half the antisymmetric unit eigenvalues, which
+_ladder_transform holds: d_j = 2 - cos(2 pi j / N) in the Euclidean
+regime, where Phi_S takes the plus sign.  The Lorentzian continuation
+flips the Phi_S sign and shifts each eigenvalue by -4, so d_j becomes
+-cos(2 pi j / N), which vanishes at j = N/4.  For N divisible by 4 that
+mode is a genuine second null direction: a configuration exciting it
+has no finite phase, and this module raises GaugeObstruction for it.
 
 A twin-slit pair is two such ladders sharing every temporal link value
 (e_T on all rails) and differing only in a uniform spatial value (e_x
@@ -50,18 +51,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._ladder_transform import dct2, dst1, rails
+from ._ladder_transform import dct2, dst1, ladder_eigenvalues, rails, zero_modes
 from .chain_complex import _finite, build_chain_complex, check_coupling, check_finite, check_n
-from .errors import GaugeObstruction, RowSpaceError
-from .partition import _check_mode, _row_space_projection
+from .errors import GaugeObstruction
+from .partition import _check_mode, _outside_row_space, project_source
 from .scc import build_source
 from .spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 
 EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
-
-#: Relative threshold for "the singular mode is excited" in the Lorentzian regime.
-OBSTRUCTION_RTOL = 1e-9
 
 #: Error, relative to max(1, |identity value|), within which TrigIdentityReport.passed accepts the identities.
 TRIG_ATOL = 1e-9
@@ -191,13 +189,15 @@ def phase_decomposition(
 ) -> PhaseDecomposition:
     """Closed-form spatial / temporal / mixed phase split of one configuration.
 
-    Lorentzian regime with N divisible by 4: if the j = N/4 mixed
-    numerator exceeds ``OBSTRUCTION_RTOL`` times N max(1, max |link|),
-    the phase does not exist and GaugeObstruction is raised; a numerator
-    within that bound is treated as the row-space restriction at work
-    and its term is dropped.  alpha must be finite, hbar and beta finite
-    and nonzero, and the link values finite; a phase past the float range
-    is refused with ValueError.
+    Lorentzian regime with N divisible by 4: the source J = alpha d1 e
+    has the component alpha sqrt(8/N) B_{N/4} along the continued zero
+    mode j = N/4.  A source is refused when its component along a zero
+    mode exceeds ``partition.ROW_SPACE_RTOL`` times |J|, so a zero source
+    (alpha = 0) never is; then the phase does not exist and
+    GaugeObstruction is raised.  A component within that bound is the
+    row-space restriction at work, and its term is dropped.  alpha must
+    be finite, hbar and beta finite and nonzero, and the link values
+    finite; a phase past the float range is refused with ValueError.
     """
     if regime not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"unknown regime {regime!r}")
@@ -208,8 +208,8 @@ def phase_decomposition(
     e_left, e_right, e_spatial = split_links(link_values, n)
 
     def terms():
-        sign = 1.0 if regime == EUCLIDEAN else -1.0
-        phi_spatial = sign * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
+        continued = regime == LORENTZIAN
+        phi_spatial = (-1.0 if continued else 1.0) * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
 
         j = np.arange(1, half)
         # the interior sine sums of the rail sum and difference, and the rungs' cosine sums, per mode j
@@ -217,24 +217,18 @@ def phase_decomposition(
         rung_cos = dct2(e_spatial)[1:]
         phi_temporal = (2.0 * alpha**2 / n) * float(np.sum(t_sums**2))
 
-        s_j = np.sin(j * np.pi / n)
-        numerators = s_j * rail_diff + rung_cos
+        numerators = np.sin(j * np.pi / n) * rail_diff + rung_cos
 
-        denom_offset = 1.0 if regime == EUCLIDEAN else -1.0
-        denominators = denom_offset + 2.0 * s_j**2
-
+        # the antisymmetric modes 2j + 1 of the unit spectrum, continued at beta = 1 in that regime
+        denominators = (ladder_eigenvalues(n)[3::2] - 4.0 * continued) / 2.0
+        null = [m // 2 - 1 for m in zero_modes(n, continued) if m % 2]  # the place of j = N/4, when 4 | N
         keep = np.ones(j.size, dtype=bool)
-        if regime == LORENTZIAN and n % 4 == 0:
-            singular = n // 4 - 1  # position of j = N/4 in the 1..N/2-1 range
-            scale = max(1.0, float(np.max(np.abs(np.asarray(link_values))))) * n
-            if abs(numerators[singular]) > OBSTRUCTION_RTOL * scale:
-                raise GaugeObstruction(
-                    f"continued operator has a zero mode at j={n // 4} and the "
-                    f"configuration excites it (numerator {numerators[singular]:.6e}); "
-                    "the phase is undefined",
-                    mode_index=n // 4,
-                )
-            keep[singular] = False
+        keep[null] = False
+        for i in null:
+            component = alpha * math.sqrt(8.0 / n) * float(numerators[i])
+            if _outside_row_space(component, build_source(build_chain_complex(n), 1, link_values, alpha)):
+                raise GaugeObstruction(f"the source's component {component:.6e} along the continued zero "
+                                       f"mode j={j[i]} leaves the phase undefined", mode_index=int(j[i]))
 
         phi_mixed = float(
             np.sum((4.0 * alpha**2 / n) * numerators[keep] ** 2 / denominators[keep])
@@ -332,7 +326,10 @@ def conditional_amplitude(
 
     The constant unit-phase factors coming from the continued measure
     are omitted: they are common to both graphs and cancel in any
-    interference difference.
+    interference difference.  A source is refused when its component
+    along a zero mode exceeds ``partition.ROW_SPACE_RTOL`` times |J|, so a
+    zero source (alpha = 0) never is: phase_decomposition raises
+    GaugeObstruction, and a uniform configuration leaves only rounding there.
     """
     if which not in (1, 2):
         raise ValueError(f"graph selector must be 1 or 2, got {which}")
@@ -343,14 +340,7 @@ def conditional_amplitude(
     spectrum = continue_to_lorentzian(ladder_spectrum_closed_form(n, beta=config.beta), n)
     _check_mode(spectrum, mode)
 
-    J = build_source(build_chain_complex(n), 1, links, config.alpha)
-    try:
-        proj = _row_space_projection(J, spectrum, OBSTRUCTION_RTOL)
-    except RowSpaceError as exc:
-        raise GaugeObstruction(
-            f"source excites a null direction of the continued operator: {exc}",
-            mode_index=int(spectrum.zero_modes[-1]),
-        ) from exc
+    proj = project_source(build_source(build_chain_complex(n), 1, links, config.alpha), spectrum)
 
     retained = [i for i in spectrum.nonzero_modes if i != mode]
     a = spectrum.eigenvalues

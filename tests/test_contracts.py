@@ -1,10 +1,13 @@
 """Input contracts every layer shares: the ladder vertex count, the int64
 range of exact arithmetic, and the package's public names."""
 
+import ast
+import importlib
 import inspect
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -585,6 +588,27 @@ def test_public_names_are_pinned():
         "project_source", "scc", "serialize_graph", "spectral", "split_links",
         "trig_lemmas", "twinslit", "uniform_link_values", "validate_complex", "verify_scc",
     ]
+
+
+def _tolerance_constants():
+    """module.NAME -> value for every module-level *_RTOL, *_ATOL and *_TOL the package assigns."""
+    found = {}
+    for path in sorted(Path(ladderfield.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"ladderfield.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z0-9_]+_(RTOL|ATOL|TOL)", target.id):
+                    found[f"{path.stem}.{target.id}"] = getattr(module, target.id)
+    return found
+
+
+def test_the_readme_tolerance_table_lists_every_constant():
+    # a tolerance added, deleted or changed without its row shows up here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\s*\| `(\w+\.\w+)` \| ([^|]+?) \|", readme, re.MULTILINE)
+    table = {name: float(value) for name, value in rows}
+    assert len(table) == len(rows)
+    assert table == _tolerance_constants()
 
 
 def _public_parameters():

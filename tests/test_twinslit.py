@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ladderfield._ladder_transform import cosine_block
 from ladderfield.chain_complex import build_chain_complex
-from ladderfield.errors import GaugeObstruction
-from ladderfield.partition import project_source
+from ladderfield.errors import GaugeObstruction, RowSpaceError
+from ladderfield.partition import ROW_SPACE_RTOL, _row_space_projection, project_source
 from ladderfield.scc import build_source, gradient_link_values
 from ladderfield.spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 from ladderfield.twinslit import (
@@ -108,7 +109,9 @@ def test_phase_decomposition_matches_the_dense_trigonometric_sums(n):
             keep = np.ones(numerators.size, dtype=bool)
             if regime == "lorentzian" and n % 4 == 0:
                 singular = n // 4 - 1
-                if abs(numerators[singular]) > 1e-9 * max(1.0, float(np.max(np.abs(e)))) * n:
+                # the row-space rule: J's component alpha sqrt(8/N) B_{N/4} on the zero mode against |J|
+                J = build_source(build_chain_complex(n), 1, e, alpha)
+                if abs(alpha * np.sqrt(8.0 / n) * numerators[singular]) > ROW_SPACE_RTOL * np.linalg.norm(J):
                     with pytest.raises(GaugeObstruction):
                         phase_decomposition(e, n, alpha, hbar, beta, regime=regime)
                     continue
@@ -202,6 +205,64 @@ def test_quarter_mode_obstruction_absent_after_deprojection():
     cleaned = drop_null_components(e, n, "lorentzian")
     parts = phase_decomposition(cleaned, n, 1.0, 1.0, 1.0, regime="lorentzian")
     assert math.isfinite(parts.total)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-12])
+def test_quarter_mode_obstruction_does_not_shrink_with_the_links(scale):
+    # these links put 3.4% of |J| on the j = N/4 zero mode at every scale
+    e = scale * np.random.default_rng(16).normal(size=22)
+    with pytest.raises(GaugeObstruction) as excinfo:
+        phase_decomposition(e, 16, 1.0, 1.0, 1.0, regime="lorentzian")
+    assert excinfo.value.mode_index == 4
+
+
+def test_a_zero_source_is_never_obstructed():
+    e = np.random.default_rng(16).normal(size=22)
+    assert phase_decomposition(e, 16, 0.0, 1.0, 1.0, regime="lorentzian").total == 0.0
+
+
+def quarter_mode_links(n):
+    """g = d1^T v for the unit continued zero mode v = [x_{N/4}; -x_{N/4}]: the source
+    alpha d1 e has the component alpha g.e along v."""
+    x = cosine_block(n, np.array([n // 4]))[:, 0]
+    return np.asarray(gradient_link_values(build_chain_complex(n), np.concatenate((x, -x))), dtype=float)
+
+
+@st.composite
+def planted_obstructions(draw):
+    """(N, seed, r): links whose source has r times the row-space threshold on the j = N/4 mode."""
+    n = 4 * draw(st.integers(2, 100))
+    low, high = draw(st.sampled_from([(0.5, 0.99), (1.01, 2.0)]))
+    r = math.exp(draw(st.floats(math.log(low), math.log(high))))
+    return n, draw(st.integers(0, 2**32 - 1)), r
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=planted_obstructions())
+@example(case=(4000, 0, 0.99))
+@example(case=(4000, 0, 1.01))
+def test_the_phase_split_and_the_spectral_route_refuse_alike(case):
+    n, seed, r = case
+    alpha = 1.3
+    rng = np.random.default_rng(seed)
+    g = quarter_mode_links(n)
+    base = rng.normal(size=g.size)
+    base -= (g @ base) / (g @ g) * g  # null-free: its source has no j = N/4 component
+    c = build_chain_complex(n)
+    component = r * ROW_SPACE_RTOL * np.linalg.norm(build_source(c, 1, base, alpha)) * rng.choice([-1.0, 1.0])
+    e = base + component / (alpha * (g @ g)) * g
+    J = build_source(c, 1, e, alpha)
+    try:
+        phase_decomposition(e, n, alpha, 0.9, 1.7, regime="lorentzian")
+        split_refuses = False
+    except GaugeObstruction as exc:
+        split_refuses = exc.mode_index == n // 4
+    try:
+        _row_space_projection(J, continue_to_lorentzian(ladder_spectrum_closed_form(n), n), ROW_SPACE_RTOL)
+        spectral_refuses = False
+    except RowSpaceError:
+        spectral_refuses = True
+    assert split_refuses == spectral_refuses == (r > 1)
 
 
 def test_euclidean_regime_never_obstructs():
