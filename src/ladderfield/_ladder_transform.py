@@ -7,8 +7,8 @@ and a sum of modes is one DCT-III back; the phase split's sine sums are a
 DST-I.  Each is unnormalised, acts along the last axis and runs on numpy.fft
 (Makhoul, IEEE TASSP 28(1), 1980): O(N log N) time, O(N) memory, and single
 threaded, so no result depends on the BLAS thread count.  A transform on
-m points reads its twiddles, and a basis its rail scales, from the ladder
-table of N = 2m, which builds them once per N.
+m points reads its twiddles, and a basis its rail scales and pivot signs,
+from the ladder table of N = 2m, which builds them once per N.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .chain_complex import _BuiltOnFirstRead, _frozen, _kept, _ReadOnlyState
+from .chain_complex import _frozen, _kept, _ReadOnlyState
 
 #: Entries of the largest block of columns pivot_signs reads at once.
 _BLOCK_ENTRIES = 1 << 18
@@ -106,30 +106,28 @@ def pivot_signs(columns, shape: tuple[int, int]) -> np.ndarray:
 
 
 def column_signs(n: int) -> np.ndarray:
-    """The pivot sign of each x_j, from one block of its cosines at a time."""
-    return _frozen(pivot_signs(lambda s: cosine_block(n, np.arange(n // 2)[s]), (n // 2, n // 2)))
+    """The pivot sign of each x_j, kept per N: from one block of cosines at a time, or by LadderBasis.vectors."""
+    return _kept(n, "signs", lambda: _frozen(
+        pivot_signs(lambda s: cosine_block(n, np.arange(n // 2)[s]), (n // 2, n // 2))))
 
 
 class LadderBasis(_ReadOnlyState):
     """A Spectrum's closed-form modes: column i is mode ``modes[i]`` of ladder_eigenvalues,
-    times the sign ``signs[modes[i] // 2]``, which is built on first read."""
-
-    signs = _BuiltOnFirstRead()
+    times the sign ``column_signs(N)[modes[i] // 2]``."""
 
     def __init__(self, modes: np.ndarray):
         self.modes = _frozen(modes)
-        self.signs = partial(column_signs, modes.size)
 
     def project(self, x: np.ndarray, signed: bool = True) -> np.ndarray:
         """x's component along each column, or along its mode before the sign fix."""
         p = (dct2(rails(x)) * _factors(self.modes.size)[2]).T.ravel()[self.modes]
-        return p * self.signs[self.modes // 2] if signed else p
+        return p * column_signs(self.modes.size)[self.modes // 2] if signed else p
 
     def vectors(self) -> np.ndarray:
         """Every column, signed: [x_j; x_j] for mode 2j, [x_j; -x_j] for mode 2j + 1."""
         half = self.modes.size // 2
         x = cosine_block(self.modes.size, np.arange(half))
-        x *= pivot_signs(lambda s: x[:, s], x.shape)
+        x *= _kept(self.modes.size, "signs", lambda: _frozen(pivot_signs(lambda s: x[:, s], x.shape)))
         vecs = x[np.arange(2 * half)[:, None] % half, self.modes // 2]  # [x_j; x_j] in mode order
         vecs[half:] *= np.where(self.modes % 2, -1.0, 1.0)
         return _frozen(vecs)

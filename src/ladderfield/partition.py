@@ -69,7 +69,7 @@ def project_source(J, spectrum: Spectrum) -> np.ndarray:
 
 def _check_mode(spectrum: Spectrum, mode) -> None:
     """ValueError unless ``mode`` is an integer index of a nonzero mode of ``spectrum``."""
-    if not isinstance(mode, Integral) or not 0 <= mode < spectrum.n_modes:
+    if isinstance(mode, bool) or not isinstance(mode, Integral) or not 0 <= mode < spectrum.n_modes:
         raise ValueError(f"mode index must be an integer in [0, {spectrum.n_modes}), got {mode!r}")
     if mode in spectrum.zero_modes:
         raise ValueError(f"mode {mode} is a zero mode; only a nonzero mode has an outcome")

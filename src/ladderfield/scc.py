@@ -93,7 +93,7 @@ class SccSystem(_LazyArrays):
 
 
 def _operator(c: ChainComplex, n: int, beta: float) -> _Nonzeros:
-    """The nonzeros of K = beta * d_n @ d_n.T; integer beta keeps them exact."""
+    """The nonzeros of K = beta * d_n @ d_n.T; integer beta keeps them exact and gives K its row-L1 bound."""
     d = _select_boundary(c, n)
     exact = _exact_route(check_coupling(beta), d.vals, d)
     if vars(c).get("_ladder"):  # kept per N in int64: its small integers read as the floats a float sum gives
@@ -104,7 +104,10 @@ def _operator(c: ChainComplex, n: int, beta: float) -> _Nonzeros:
         vals = gram.vals * int(beta)
     else:
         vals = _finite("operator beta * d @ d.T", lambda: gram.vals * float(beta))
-    return _Nonzeros(gram.shape, gram.rows, gram.cols, vals, zero=vals.dtype.type(0) * beta)
+    K = _Nonzeros(gram.shape, gram.rows, gram.cols, vals, zero=vals.dtype.type(0) * beta)
+    if exact:  # what K.max_row_l1 would sum, from the bound a kept gram keeps for every system
+        vars(K)["max_row_l1"] = abs(int(beta)) * gram.max_row_l1
+    return K
 
 
 def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:

@@ -189,9 +189,8 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
 
     Eigenvalues are beta (lam_j -+ 1) as in the module docstring;
     eigenvectors come out orthonormal by construction, on first read.
-    The spectra of one (N, beta) share its kept eigenvalues, tags and basis,
-    so its pivot signs are built once.  A real beta is keyed by type and
-    repr, so 0, 0.0 and -0.0 are three keys; any other is built per call.
+    The spectra of one (N, beta) share its kept eigenvalues, tags and basis.  A real beta
+    is keyed by type and repr, so 0, 0.0 and -0.0 are three keys; any other is built per call.
     """
     n = check_n(n_vertices)
     beta = check_coupling(beta)

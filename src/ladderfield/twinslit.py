@@ -25,7 +25,8 @@ regime, where Phi_S takes the plus sign.  The Lorentzian continuation
 flips the Phi_S sign and shifts each eigenvalue by -4, so d_j becomes
 -cos(2 pi j / N), which vanishes at j = N/4.  For N divisible by 4 that
 mode is a genuine second null direction: a configuration exciting it
-has no finite phase, and this module raises GaugeObstruction for it.
+has no finite phase, and this module raises GaugeObstruction for it,
+by the row-space rule on |J|, which Parseval gives from the split's own sums.
 
 A twin-slit pair is two such ladders sharing every temporal link value
 (e_T on all rails) and differing only in a uniform spatial value (e_x
@@ -54,7 +55,7 @@ import numpy as np
 from ._ladder_transform import dct2, dst1, ladder_eigenvalues, rails, zero_modes
 from .chain_complex import _finite, build_chain_complex, check_coupling, check_finite, check_n
 from .errors import GaugeObstruction
-from .partition import _check_mode, _outside_row_space, project_source
+from .partition import _check_mode, _nonzero_mask, _outside_row_space, project_source
 from .scc import build_source
 from .spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 
@@ -217,7 +218,8 @@ def phase_decomposition(
         rung_cos = dct2(e_spatial)[1:]
         phi_temporal = (2.0 * alpha**2 / n) * float(np.sum(t_sums**2))
 
-        numerators = np.sin(j * np.pi / n) * rail_diff + rung_cos
+        sines = np.sin(j * np.pi / n)
+        numerators = sines * rail_diff + rung_cos
 
         # the antisymmetric modes 2j + 1 of the unit spectrum, continued at beta = 1 in that regime
         denominators = (ladder_eigenvalues(n)[3::2] - 4.0 * continued) / 2.0
@@ -225,8 +227,11 @@ def phase_decomposition(
         keep = np.ones(j.size, dtype=bool)
         keep[null] = False
         for i in null:
-            component = alpha * math.sqrt(8.0 / n) * float(numerators[i])
-            if _outside_row_space(component, build_source(build_chain_complex(n), 1, link_values, alpha)):
+            # J's components on the modes it can reach: antisymmetric j = 0, then symmetric and antisymmetric j
+            jt = alpha * math.sqrt(8.0 / n) * np.concatenate(
+                ([np.sum(e_spatial) / math.sqrt(2.0)], sines * t_sums, numerators))
+            component = float(jt[half + i])
+            if _outside_row_space(component, jt):
                 raise GaugeObstruction(f"the source's component {component:.6e} along the continued zero "
                                        f"mode j={j[i]} leaves the phase undefined", mode_index=int(j[i]))
 
@@ -236,14 +241,7 @@ def phase_decomposition(
         total = (phi_spatial + phi_temporal + phi_mixed) / (2.0 * hbar * beta)
         return phi_spatial, phi_temporal, phi_mixed, total
 
-    phi_spatial, phi_temporal, phi_mixed, total = _finite("phase decomposition", terms)
-    return PhaseDecomposition(
-        phi_spatial=phi_spatial,
-        phi_temporal=phi_temporal,
-        phi_mixed=phi_mixed,
-        total=total,
-        regime=regime,
-    )
+    return PhaseDecomposition(*_finite("phase decomposition", terms), regime=regime)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +340,11 @@ def conditional_amplitude(
 
     proj = project_source(build_source(build_chain_complex(n), 1, links, config.alpha), spectrum)
 
-    retained = [i for i in spectrum.nonzero_modes if i != mode]
+    retained = _nonzero_mask(spectrum)
+    retained[mode] = False
     a = spectrum.eigenvalues
     log_mag = 0.5 * (
-        len(retained) * math.log(2.0 * math.pi)
+        int(np.count_nonzero(retained)) * math.log(2.0 * math.pi)
         - float(np.sum(np.log(np.abs(a[retained]))))
     )
 
@@ -355,24 +354,26 @@ def conditional_amplitude(
     a_k = float(a[mode])
     jt_k = float(proj[mode])
     q = float(outcome)
-    phase = -(
+    phase = _finite("conditional phase", lambda: -(
         0.5 * q * q * a_k
         + jt_k * q
         + (parts.phi_spatial + parts.phi_temporal) / (2.0 * config.hbar * config.beta)
-    )
+    ))
     return log_mag, phase
 
 
 def interference_phase_difference(config: TwinSlitConfig) -> float:
-    """Phase of graph 1 minus graph 2 at the same click:
-    N alpha^2 (e_x^2 - e_x_alt^2) / (4 hbar beta)."""
+    """Phase of graph 1 minus graph 2 at the same click: N alpha^2 (e_x^2 - e_x_alt^2) / (4 hbar beta).
+    alpha must be finite, hbar and beta finite and nonzero; a phase that is not finite is refused with ValueError."""
+    check_coupling(config.alpha, "alpha")
+    _check_divisors(config.hbar, config.beta)
     n = config.n_vertices
-    return (
+    return _finite("interference phase difference", lambda: (
         n
         * config.alpha**2
         * (config.e_x**2 - config.e_x_alt**2)
         / (4.0 * config.hbar * config.beta)
-    )
+    ))
 
 
 def interference_order(config: TwinSlitConfig) -> float:

@@ -199,12 +199,18 @@ PHASE_COUPLINGS = {
         np.ones(7), 6, alpha, hbar, beta
     ),
     "phase_exponent": lambda hbar=1.0, beta=1.0: phase_exponent([1.0], [1.0], hbar, beta),
+    "interference_phase_difference": lambda alpha=1.0, hbar=1.0, beta=1.0: interference_phase_difference(
+        TwinSlitConfig(6, 1.0, 0.5, 1.0, alpha, beta, hbar)
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "entry, name",
-    [("phase_decomposition", "alpha"), ("phase_decomposition", "hbar"), ("phase_exponent", "hbar")],
+    [
+        ("phase_decomposition", "alpha"), ("phase_decomposition", "hbar"), ("phase_exponent", "hbar"),
+        ("interference_phase_difference", "alpha"), ("interference_phase_difference", "beta"),
+    ],
 )
 @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
 def test_phase_functions_name_the_non_finite_coupling(entry, name, value):
@@ -247,12 +253,17 @@ def _huge_source_system(scale, beta=1.0):
         (lambda: euclidean_Z(_huge_source_system(1e200), ladder_spectrum_closed_form(8)), "Z exponent"),
         (lambda: classical_solution(_huge_source_system(1e10, beta=1e-300), ladder_spectrum_closed_form(8, 1e-300)),
          "mode sum"),
+        (lambda: conditional_amplitude(TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, 2.0), 1, 1e200, 4),
+         "conditional phase"),
+        (lambda: interference_phase_difference(TwinSlitConfig(6, 1e200, 0.5, 1.0, 1.0, 1.0)),
+         "interference phase difference"),
     ],
     ids=[
         "large_links", "large_alpha", "divisor_underflow", "exponent_large", "exponent_divisor_underflow",
         "operator_large_beta", "closed_form_large_beta", "lorentzian_large_beta", "lorentzian_large_entry",
         "projection_large_source", "projection_large_source_replaced", "projection_large_source_numeric",
         "z_exponent_source_1e160", "z_exponent_source_1e200", "classical_solution_small_beta",
+        "conditional_phase_large_outcome", "interference_large_rung",
     ],
 )
 def test_phase_functions_refuse_a_phase_past_the_float_range(call, what):
@@ -335,7 +346,7 @@ MODE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("mode", [1.5, 1.0, np.float64(2.0), "1"])
+@pytest.mark.parametrize("mode", [1.5, 1.0, np.float64(2.0), "1", True, False])
 @pytest.mark.parametrize("entry", sorted(MODE_ENTRY_POINTS))
 def test_mode_entry_points_refuse_a_mode_that_is_not_an_integer(entry, mode):
     pattern = rf"^mode index must be an integer in \[0, \d+\), got {re.escape(repr(mode))}$"

@@ -475,6 +475,19 @@ def test_operator_is_the_dense_gram_of_any_sparse_integer_boundary(d, beta):
     assert K2.tobytes() == K.tobytes()
 
 
+@pytest.mark.parametrize("beta", [3, -2, 0])
+@pytest.mark.parametrize("ladder", [True, False], ids=["ladder", "caller_built"])
+def test_an_integer_operator_carries_the_row_l1_bound_it_would_sum(ladder, beta):
+    # |beta| times the gram's bound, so verify_scc does not sum a fresh K's rows again
+    c = build_chain_complex(10)
+    if not ladder:
+        c = ChainComplex(c.d1 * 2, c.d2)
+    system = build_system(c, 1, gradient_link_values(c, np.arange(10)), alpha=1, beta=beta)
+    K = system._nonzeros
+    assert vars(K)["max_row_l1"] == int(np.max(np.sum(np.abs(K()), axis=1)))
+    assert verify_scc(system, np.arange(10)).exact
+
+
 def test_build_system_stays_far_from_a_dense_gram():
     """build_system at N=2000 within two seconds: a dense int64 d1 @ d1.T
     alone takes about twenty at this size on a 2-vCPU machine."""

@@ -13,7 +13,7 @@ from scipy.linalg import subspace_angles
 from ladderfield import _ladder_transform
 from ladderfield._ladder_transform import column_signs, cosine_block
 from ladderfield.chain_complex import ChainComplex, _ladder_table, build_chain_complex
-from ladderfield.partition import classical_solution, euclidean_Z, project_source
+from ladderfield.partition import classical_solution, euclidean_Z, outcome_probability, project_source
 from ladderfield.scc import SccSystem, build_operator, build_system, gradient_link_values, null_space_basis
 from ladderfield.spectral import (
     Spectrum,
@@ -473,8 +473,8 @@ def test_copies_keep_the_transform_route_and_read_only_arrays(copy_of):
         want = project_source(system.J, s)  # builds the signs, not the vectors
         c = copy_of(s)
         assert_array_equal(c._basis.modes, s._basis.modes)
-        assert not (c._basis.modes.flags.writeable or c._basis.signs.flags.writeable)
-        assert not (s._basis.modes.flags.writeable or s._basis.signs.flags.writeable)
+        assert not (c._basis.modes.flags.writeable or s._basis.modes.flags.writeable)
+        assert not column_signs(n).flags.writeable  # kept in the table, which no copy carries
         assert_array_equal(project_source(system.J, c), want)
         classical_solution(system, c)
         assert callable(vars(c)["eigenvectors"])
@@ -679,11 +679,37 @@ def test_each_call_returns_a_fresh_spectrum_around_one_basis():
     assert callable(vars(s2)["eigenvectors"]) and callable(vars(s2)["degeneracy_groups"])
     assert_array_equal(s2.eigenvectors, s1.eigenvectors)
     assert s2.eigenvectors is not s1.eigenvectors
-    # the pivot signs of one (N, beta) are built once, by whichever spectrum reads them first
-    assert callable(vars(s2._basis)["signs"])
-    project_source(np.arange(8.0) - 3.5, s1)
-    assert not callable(vars(s2._basis)["signs"])
-    assert ladder_spectrum_closed_form(8, 2)._basis is not s1._basis
+    # the pivot signs of one N are one table entry, built by whichever spectrum of any beta reads them first
+    assert vars(s1._basis).keys() == {"modes"}
+    _ladder_table.cache_clear()
+    s3 = ladder_spectrum_closed_form(8, 2)
+    assert "signs" not in _ladder_table(8)
+    project_source(np.arange(8.0) - 3.5, s3)
+    signs = _ladder_table(8)["signs"][1]
+    assert_array_equal(signs, column_signs(8))
+    project_source(np.arange(8.0) - 3.5, continue_to_lorentzian(s3, 8)), ladder_spectrum_closed_form(8, 3).eigenvectors
+    assert _ladder_table(8)["signs"][1] is signs
+    assert s3._basis is not s1._basis
+
+
+@pytest.mark.parametrize("vectors_first", [True, False], ids=["eigenvectors_first", "projections_first"])
+def test_the_pivot_sign_rule_runs_once_per_n(monkeypatch, vectors_first):
+    n = 20
+    calls = []
+    rule = _ladder_transform.pivot_signs
+    monkeypatch.setattr(_ladder_transform, "pivot_signs", lambda *args: calls.append(args) or rule(*args))
+    system = _ladder_system(n, 2)
+    spectra = [ladder_spectrum_closed_form(n, 2), ladder_spectrum_closed_form(n, 3.5)]
+    spectra.append(continue_to_lorentzian(spectra[0], n))
+
+    def read_vectors():
+        return [s.eigenvectors for s in spectra]
+
+    def project():  # every signed projection: the continued one, at N = 20, need not be in the row space
+        return [project_source(system.J, s) for s in spectra] + [outcome_probability(system, spectra[0], 3, 0.5)]
+    first, second = (read_vectors, project) if vectors_first else (project, read_vectors)
+    first(), second()
+    assert len(calls) == 1
 
 
 def _table_contents(obj):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ladderfield import twinslit
 from ladderfield._ladder_transform import cosine_block
 from ladderfield.chain_complex import build_chain_complex
 from ladderfield.errors import GaugeObstruction, RowSpaceError
@@ -265,6 +266,25 @@ def test_the_phase_split_and_the_spectral_route_refuse_alike(case):
     assert split_refuses == spectral_refuses == (r > 1)
 
 
+def test_the_lorentzian_split_builds_no_complex_and_no_source(monkeypatch):
+    # links on both sides of the row-space rule, made before the complex and source functions are taken away
+    n, alpha = 16, 1.3
+    g = quarter_mode_links(n)
+    base = np.random.default_rng(n).normal(size=g.size)
+    base -= (g @ base) / (g @ g) * g
+    threshold = ROW_SPACE_RTOL * np.linalg.norm(build_source(build_chain_complex(n), 1, base, alpha))
+    below, above = (base + r * threshold / (alpha * (g @ g)) * g for r in (0.5, 2.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the phase split built a chain complex or a source")
+    monkeypatch.setattr(twinslit, "build_chain_complex", refuse)
+    monkeypatch.setattr(twinslit, "build_source", refuse)
+    assert math.isfinite(phase_decomposition(below, n, alpha, 0.9, 1.7, regime="lorentzian").total)
+    with pytest.raises(GaugeObstruction) as excinfo:
+        phase_decomposition(above, n, alpha, 0.9, 1.7, regime="lorentzian")
+    assert excinfo.value.mode_index == n // 4
+
+
 def test_euclidean_regime_never_obstructs():
     n = 16
     e = np.random.default_rng(4).normal(size=3 * n // 2 - 2)
@@ -388,6 +408,20 @@ def test_amplitude_rejects_zero_mode_and_bad_selector():
         conditional_amplitude(cfg, 1, 0.0, 99)
 
 
+@pytest.mark.parametrize("outcome", [math.nan, math.inf, -math.inf])
+def test_amplitude_refuses_an_outcome_that_is_not_finite(outcome):
+    cfg = TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, 2.0)
+    with pytest.raises(ValueError, match="^conditional phase is not finite"):
+        conditional_amplitude(cfg, 1, outcome, 4)
+
+
+@pytest.mark.parametrize("e_x", [math.nan, math.inf])
+@pytest.mark.parametrize("phase", [interference_phase_difference, interference_order])
+def test_interference_refuses_a_rung_value_that_is_not_finite(phase, e_x):
+    with pytest.raises(ValueError, match="^interference phase difference is not finite"):
+        phase(TwinSlitConfig(8, e_x, 0.5, 1.0, 1.0, 1.0))
+
+
 def test_identical_slits_interfere_constructively():
     cfg = TwinSlitConfig.calibrated(10, 0.6, 0.6, 0.2, lambda_hat=1.0)
     assert interference_phase_difference(cfg) == 0.0
@@ -477,9 +511,10 @@ def per_row_sweep(n, d, L, lam, ys):
         geometry = SlitGeometry(d, L, y, lam)
         e_x, e_x_alt = geometry_to_links(geometry, n)
         config = TwinSlitConfig.calibrated(n, e_x, e_x_alt, e_T=1.0, lambda_hat=lam)
-        dphi = interference_phase_difference(config)
-        if not math.isfinite(dphi):
-            raise ValueError(f"phase difference at y={y:.12g} is not finite")
+        try:
+            dphi = interference_phase_difference(config)
+        except ValueError:  # a phase past the float range, which the sweep reports by its row
+            raise ValueError(f"phase difference at y={y:.12g} is not finite") from None
         if math.ulp(dphi) > MAXIMUM_PHASE_TOL:
             raise ValueError(
                 f"phase difference at y={y:.12g} is {dphi:.12g} rad, too large to resolve a "
