@@ -111,6 +111,11 @@ def check_n(n_vertices) -> int:
     return int(n)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool: the one rule for integer selectors, indices and seeds."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_coupling(value, name="beta"):
     """The coupling ``name`` unchanged; ValueError unless it is a finite number."""
     if not isinstance(value, Integral) and not math.isfinite(value):

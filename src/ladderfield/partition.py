@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .chain_complex import _finite, check_finite
+from .chain_complex import _finite, _is_integer, check_finite
 from .errors import RowSpaceError
 from .scc import SccSystem
-from .spectral import Spectrum, _project, _synthesize
+from .spectral import Spectrum, _nonzero_mask, _project, _synthesize
 
 #: Default relative tolerance for the row-space membership check.
 ROW_SPACE_RTOL = 1e-9
@@ -69,7 +68,7 @@ def project_source(J, spectrum: Spectrum) -> np.ndarray:
 
 def _check_mode(spectrum: Spectrum, mode) -> None:
     """ValueError unless ``mode`` is an integer index of a nonzero mode of ``spectrum``."""
-    if isinstance(mode, bool) or not isinstance(mode, Integral) or not 0 <= mode < spectrum.n_modes:
+    if not _is_integer(mode) or not 0 <= mode < spectrum.n_modes:
         raise ValueError(f"mode index must be an integer in [0, {spectrum.n_modes}), got {mode!r}")
     if mode in spectrum.zero_modes:
         raise ValueError(f"mode {mode} is a zero mode; only a nonzero mode has an outcome")
@@ -99,13 +98,6 @@ def _outside_row_space(component: float, J: np.ndarray, rtol: float = ROW_SPACE_
     runs in units of a power of two near max|J|: each division is exact, and |J| cannot overflow."""
     unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(J))))[1] - 1)
     return abs(component) / unit > rtol * max(float(np.linalg.norm(J / unit)), 1e-300 / unit)
-
-
-def _nonzero_mask(spectrum: Spectrum) -> np.ndarray:
-    """True at the nonzero modes: it indexes them, in order, with no list of every index."""
-    keep = np.ones(spectrum.n_modes, dtype=bool)
-    keep[list(spectrum.zero_modes)] = False
-    return keep
 
 
 def _retained(system: SccSystem, spectrum: Spectrum, row_space_tol: float, signed: bool = True):
@@ -153,16 +145,16 @@ def outcome_probability(
     """Gaussian density of one retained mode coordinate at ``outcome``.
 
     This is the normalized distribution obtained by integrating out all
-    other modes: mean Jt_k / a_k, variance 1 / a_k.  ValueError when the
-    density is not finite (a NaN outcome).
+    other modes: mean Jt_k / a_k, variance 1 / a_k.  ValueError for an
+    outcome that is not finite.
     """
     _check_mode(spectrum, mode)
+    q = float(check_finite(np.asarray(outcome, dtype=float), "outcome"))
     proj = _row_space_projection(system.J, spectrum, row_space_tol)
     a = float(spectrum.eigenvalues[mode])
     if a <= 0.0:
         raise ValueError(f"non-Gaussian-convergent mode: eigenvalue {a:.6e} <= 0")
     jt = float(proj[mode])
-    q = float(outcome)
 
     def density():  # about the mean, so a large source and outcome give no inf - inf
         dq = q - jt / a
@@ -236,9 +228,9 @@ def brute_force_Z(
     and the seeded result does not depend on the block's size.  The
     seed is a non-negative integer, or None for fresh entropy.
     """
-    if isinstance(budget, bool) or not isinstance(budget, Integral):
+    if not _is_integer(budget):
         raise ValueError(f"oracle budget must be an integer, got {budget!r}")
-    if seed is not None and not (isinstance(seed, Integral) and seed >= 0):
+    if seed is not None and not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     jt, a = _retained(system, spectrum, ROW_SPACE_RTOL)
     d = int(a.size)

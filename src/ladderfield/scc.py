@@ -34,6 +34,7 @@ from .chain_complex import (
     _exact_route,
     _finite,
     _frozen,
+    _is_integer,
     _kept,
     _Nonzeros,
     _product,
@@ -50,7 +51,7 @@ SCC_RTOL = 1e-12
 
 
 def _select_boundary(c: ChainComplex, n: int) -> _Nonzeros:
-    if n not in (1, 2):
+    if not _is_integer(n) or n not in (1, 2):
         raise ValueError(f"unsupported chain degree {n}; expected 1 or 2")
     return c.nonzeros[n - 1]
 

@@ -19,7 +19,9 @@ The Lorentzian continuation replaces K by
 which leaves symmetric eigenpairs alone and shifts every antisymmetric
 eigenvalue down by 4 beta.  When N is a multiple of 4 the antisymmetric
 j = N/4 eigenvalue lands exactly on zero, and the continued operator
-picks up a second null direction.
+picks up a second null direction.  ``continue_to_lorentzian`` makes that
+shift on a closed-form spectrum only, whose mode indices give each parity;
+any other K_M is diagonalized by ``numeric_spectrum(lorentzian_operator(K))``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class Spectrum(_LazyFields):
 
     A closed-form or continued spectrum also keeps a DCT basis, which builds
     its vectors and projects on its modes without them; one made by
-    ``dataclasses.replace`` or this constructor keeps none and uses its own.
+    ``dataclasses.replace`` or this constructor keeps none, uses its own and has no continuation.
     """
 
     eigenvalues: np.ndarray
@@ -94,7 +96,7 @@ class Spectrum(_LazyFields):
 
     @property
     def nonzero_modes(self) -> tuple[int, ...]:
-        return tuple(np.delete(np.arange(self.n_modes), list(self.zero_modes)).tolist())
+        return tuple(np.flatnonzero(_nonzero_mask(self)).tolist())
 
     @property
     def is_singular(self) -> bool:
@@ -104,6 +106,13 @@ class Spectrum(_LazyFields):
     def eigenpairs(self):
         for i in range(self.n_modes):
             yield self.eigenvalues[i], self.eigenvectors[:, i]
+
+
+def _nonzero_mask(spectrum: Spectrum) -> np.ndarray:
+    """True at the nonzero modes: it indexes them, in order, with no list of every index."""
+    keep = np.ones(spectrum.n_modes, dtype=bool)
+    keep[list(spectrum.zero_modes)] = False
+    return keep
 
 
 def _zero_mode_indices(vals: np.ndarray) -> tuple[int, ...]:
@@ -124,32 +133,15 @@ def _degeneracy_groups(vals: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's largest-magnitude float, the first of equal ones, is positive."""
+    """Flip columns in place so each one's largest-magnitude float, the first of equal ones, is positive;
+    returned read-only and in Fortran order, the layout whose einsum projections every result is pinned to."""
     vecs *= pivot_signs(lambda s: vecs[:, s], vecs.shape)
-    return vecs
+    return _frozen(np.asfortranarray(vecs))
 
 
 def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     """Dense eigensolve of a square symmetric matrix; ValueError otherwise."""
     return np.linalg.eigh(check_symmetric(check_square(np.asarray(K, dtype=float))))
-
-
-def _columns_in_order(build_vecs, order: np.ndarray) -> np.ndarray:
-    return _frozen(np.asarray(build_vecs(), dtype=float)[:, order])
-
-
-def _assemble(vals, build_vecs, parity, beta, regime) -> Spectrum:
-    """A spectrum with no closed form, sorted stably by eigenvalue, its zero modes and groups by the thresholds.
-
-    ``build_vecs`` builds the sign-fixed vectors in the order of ``vals``, on the first read of the
-    eigenvectors, as the groups are built on theirs.  It is a ``partial`` of a module-level function,
-    so a Spectrum pickles before its first read as after it.
-    """
-    order = np.argsort(vals, kind="stable")
-    vals = _frozen(np.asarray(vals, dtype=float)[order])
-    return Spectrum(eigenvalues=vals, eigenvectors=partial(_columns_in_order, build_vecs, order),
-                    parity=tuple(parity[i] for i in order), zero_modes=_zero_mode_indices(vals),
-                    degeneracy_groups=partial(_degeneracy_groups, vals), beta=float(beta), regime=regime)
 
 
 def _mode_tags(vals: np.ndarray, modes: np.ndarray, beta, continued: bool) -> tuple:
@@ -232,13 +224,15 @@ def lorentzian_operator(K: np.ndarray, beta: float = 1) -> np.ndarray:
 def numeric_spectrum(K) -> Spectrum:
     """Eigensystem of an arbitrary symmetric matrix, with the same bookkeeping.
 
-    Uses a dense symmetric eigensolver, then post-processes: when the
-    size is a ladder size (even, >= 4) and the matrix commutes with the
-    rail swap, each degenerate subspace is rotated into definite-parity
-    vectors so the tags match the closed form.  Raises on non-symmetric
-    input.  Zero modes and degeneracy groups come from ZERO_MODE_RTOL and
-    DEGENERACY_RTOL, so past cond K of about 1e9 a genuine mode is tagged
-    zero (the ladder's own K gets there near N = 82 000).
+    Uses a dense symmetric eigensolver, whose eigenvalues come out
+    ascending, then post-processes: when the size is a ladder size (even,
+    >= 4) and the matrix commutes with the rail swap, each degenerate
+    subspace is rotated into definite-parity vectors so the tags match the
+    closed form.  Raises on non-symmetric input.  Zero modes and degeneracy
+    groups come from ZERO_MODE_RTOL and DEGENERACY_RTOL, so past cond K of
+    about 1e9 a genuine mode is tagged zero (the ladder's own K gets there
+    near N = 82 000).  The continued counterpart of such a spectrum is
+    ``numeric_spectrum(lorentzian_operator(K))``.
     """
     K = np.asarray(K, dtype=float)
     vals, vecs = _symmetric_eigh(K)
@@ -260,30 +254,31 @@ def numeric_spectrum(K) -> Spectrum:
                     elif abs(wi + 1.0) < 1e-6:
                         parity[pos] = ANTISYMMETRIC
 
-    return _assemble(vals, partial(_sign_fix, vecs), parity, 1.0, "euclidean")
+    vals = _frozen(vals)  # a builder that is a partial of a module-level function pickles unread
+    return Spectrum(eigenvalues=vals, eigenvectors=partial(_sign_fix, vecs), parity=tuple(parity),
+                    zero_modes=_zero_mode_indices(vals), degeneracy_groups=partial(_degeneracy_groups, vals))
 
 
 def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
-    """Continue a ladder spectrum: antisymmetric eigenvalues drop by 4 beta.
+    """Continue a closed-form ladder spectrum: antisymmetric eigenvalues drop by 4 beta.
 
-    Requires every mode to carry a parity tag.  A closed-form parent's
-    continuation takes its tags from the mode indices; for N divisible by
-    4 the antisymmetric mode at j = N/4 becomes a second null direction
-    and the result reports itself singular.  A numeric parent's zero
-    modes and degeneracy groups are recomputed for the shifted eigenvalues.
+    The parent is one from ladder_spectrum_closed_form or an earlier
+    continuation, and the continuation takes its tags from the mode indices;
+    for N divisible by 4 the antisymmetric mode at j = N/4 becomes a second
+    null direction and the result reports itself singular.  Any other
+    spectrum (from numeric_spectrum, this constructor or
+    ``dataclasses.replace``) is refused with ValueError: its continued
+    counterpart is ``numeric_spectrum(lorentzian_operator(K))``.
     """
     basis = getattr(spectrum, "_basis", None)
-    if basis is None and None in spectrum.parity:
-        raise ValueError("cannot continue a spectrum without parity tags on every mode")
+    if basis is None:
+        raise ValueError("only a closed-form ladder spectrum can be continued; "
+                         "for any other, take numeric_spectrum(lorentzian_operator(K))")
     if spectrum.n_modes != n_vertices:
         raise ValueError(f"spectrum has {spectrum.n_modes} modes but n_vertices is {n_vertices}")
-    # odd modes are the antisymmetric ones; a numeric parent's tags are compared once, as objects
-    antisymmetric = basis.modes % 2 if basis is not None else np.array(spectrum.parity, dtype=object) == ANTISYMMETRIC
-    vals = spectrum.eigenvalues - np.where(antisymmetric, 4.0 * spectrum.beta, 0.0)
-    if basis is not None:  # sorted from the parent's order, so tied values keep their columns
-        return _from_modes(_mode_tags(vals, basis.modes, spectrum.beta, True), spectrum.beta, "lorentzian")
-    # the parent's vectors, read (and kept by the parent) only when these are
-    return _assemble(vals, partial(getattr, spectrum, "eigenvectors"), spectrum.parity, spectrum.beta, "lorentzian")
+    # odd modes are the antisymmetric ones; sorted from the parent's order, tied values keep their columns
+    vals = spectrum.eigenvalues - np.where(basis.modes % 2, 4.0 * spectrum.beta, 0.0)
+    return _from_modes(_mode_tags(vals, basis.modes, spectrum.beta, True), spectrum.beta, "lorentzian")
 
 
 def _project(spectrum: Spectrum, x: np.ndarray, signed: bool) -> np.ndarray:

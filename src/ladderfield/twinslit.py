@@ -53,11 +53,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._ladder_transform import dct2, dst1, ladder_eigenvalues, rails, zero_modes
-from .chain_complex import _finite, build_chain_complex, check_coupling, check_finite, check_n
+from .chain_complex import _finite, _is_integer, build_chain_complex, check_coupling, check_finite, check_n
 from .errors import GaugeObstruction
-from .partition import _check_mode, _nonzero_mask, _outside_row_space, project_source
+from .partition import _check_mode, _outside_row_space, project_source
 from .scc import build_source
-from .spectral import continue_to_lorentzian, ladder_spectrum_closed_form
+from .spectral import _nonzero_mask, continue_to_lorentzian, ladder_spectrum_closed_form
 
 EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
@@ -113,7 +113,8 @@ class TwinSlitConfig:
     ) -> "TwinSlitConfig":
         """Couplings fixed by the length unit: alpha = h / lambda_hat,
         beta = h / lambda_hat^2, with h = 2 pi hbar.  This is exactly the
-        choice that makes alpha^2 / (hbar beta) = 2 pi."""
+        choice that makes alpha^2 / (hbar beta) = 2 pi.  hbar must be finite and nonzero."""
+        _check_divisors(hbar=hbar)
         if lambda_hat <= 0:
             raise ValueError(f"lambda_hat must be positive, got {lambda_hat}")
         h = 2.0 * math.pi * hbar
@@ -156,9 +157,9 @@ def uniform_link_values(n_vertices: int, e_x: float, e_T: float) -> np.ndarray:
     return e
 
 
-def _check_divisors(hbar, beta) -> None:
-    """ValueError unless hbar and beta, which the phase divides by, are finite and nonzero."""
-    for name, value in (("hbar", hbar), ("beta", beta)):
+def _check_divisors(**divisors) -> None:
+    """ValueError unless each named divisor (hbar, beta), which the phase divides by, is finite and nonzero."""
+    for name, value in divisors.items():
         if check_coupling(value, name) == 0:
             raise ValueError(f"coupling {name} must be nonzero, got {value!r}")
 
@@ -170,7 +171,7 @@ def phase_exponent(projections, eigenvalues, hbar: float, beta: float) -> float:
     eigenvalues by its beta before passing them in).  hbar and beta must be
     finite and nonzero; a phase past the float range is refused with ValueError.
     """
-    _check_divisors(hbar, beta)
+    _check_divisors(hbar=hbar, beta=beta)
     jt = np.asarray(projections, dtype=float)
     a = np.asarray(eigenvalues, dtype=float)
     if jt.shape != a.shape:
@@ -203,7 +204,7 @@ def phase_decomposition(
     if regime not in (EUCLIDEAN, LORENTZIAN):
         raise ValueError(f"unknown regime {regime!r}")
     check_coupling(alpha, "alpha")
-    _check_divisors(hbar, beta)
+    _check_divisors(hbar=hbar, beta=beta)
     n = check_n(n_vertices)
     half = n // 2
     e_left, e_right, e_spatial = split_links(link_values, n)
@@ -329,8 +330,9 @@ def conditional_amplitude(
     zero source (alpha = 0) never is: phase_decomposition raises
     GaugeObstruction, and a uniform configuration leaves only rounding there.
     """
-    if which not in (1, 2):
+    if not _is_integer(which) or which not in (1, 2):
         raise ValueError(f"graph selector must be 1 or 2, got {which}")
+    q = float(check_finite(np.asarray(outcome, dtype=float), "outcome"))
     n = config.n_vertices
     e_x = config.e_x if which == 1 else config.e_x_alt
     links = uniform_link_values(n, e_x, config.e_T)
@@ -353,7 +355,6 @@ def conditional_amplitude(
     )
     a_k = float(a[mode])
     jt_k = float(proj[mode])
-    q = float(outcome)
     phase = _finite("conditional phase", lambda: -(
         0.5 * q * q * a_k
         + jt_k * q
@@ -364,9 +365,11 @@ def conditional_amplitude(
 
 def interference_phase_difference(config: TwinSlitConfig) -> float:
     """Phase of graph 1 minus graph 2 at the same click: N alpha^2 (e_x^2 - e_x_alt^2) / (4 hbar beta).
-    alpha must be finite, hbar and beta finite and nonzero; a phase that is not finite is refused with ValueError."""
+    alpha and the rung values must be finite, hbar and beta finite and nonzero; a phase past the float
+    range is refused with ValueError."""
     check_coupling(config.alpha, "alpha")
-    _check_divisors(config.hbar, config.beta)
+    _check_divisors(hbar=config.hbar, beta=config.beta)
+    check_finite(np.asarray((config.e_x, config.e_x_alt)), "rung values")
     n = config.n_vertices
     return _finite("interference phase difference", lambda: (
         n
@@ -430,9 +433,14 @@ def _rung_values(n: int, l1: float, l2: float, lam: float) -> tuple[float, float
     """geometry_to_links for a checked vertex count, from the two path lengths."""
     if not (math.isfinite(l1) and math.isfinite(l2)):
         raise ValueError(f"path lengths must be finite, got {l1} and {l2}")
-    if lam <= 0:
-        raise ValueError(f"wavelength must be positive, got {lam}")
+    _check_wavelength(lam)
     return (math.sqrt(4.0 * l1 / (n * lam)), math.sqrt(4.0 * l2 / (n * lam)))
+
+
+def _check_wavelength(lam) -> None:
+    """ValueError unless the wavelength is a positive number (NaN is not)."""
+    if not lam > 0:
+        raise ValueError(f"wavelength must be positive, got {lam}")
 
 
 def _fringe_sweep(n_vertices, d: float, L: float, wavelength: float, ys):
@@ -467,7 +475,11 @@ def _fringe_sweep(n_vertices, d: float, L: float, wavelength: float, ys):
 
 
 def nrqm_intensity(path_diff: float, wavelength: float) -> float:
-    """Two-beam reference intensity 2 + 2 cos(2 pi path_diff / wavelength)."""
+    """Two-beam reference intensity 2 + 2 cos(2 pi path_diff / wavelength), for a finite path difference
+    and a positive wavelength."""
+    _check_wavelength(wavelength)
+    if not math.isfinite(path_diff):
+        raise ValueError(f"path difference must be finite, got {path_diff}")
     return 2.0 + 2.0 * math.cos(2.0 * math.pi * path_diff / wavelength)
 
 
@@ -479,8 +491,9 @@ def nrqm_maximum_position(
     The locus of constant path difference is a hyperbola with the slits
     as foci; this is its intersection with the screen.  Positive orders
     land at negative y with slit 1 on the positive side.  |order| is
-    limited by the slit separation.
+    limited by the slit separation, and the wavelength must be positive.
     """
+    _check_wavelength(wavelength)
     a = -order * wavelength / 2.0
     c = slit_separation / 2.0
     if order == 0:

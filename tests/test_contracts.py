@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderfield
-from ladderfield.chain_complex import build_chain_complex, build_ladder_graph, check_n
+from ladderfield.chain_complex import build_chain_complex, build_ladder_graph, check_n, parse_graph
 from ladderfield.errors import RowSpaceError, SccViolation
 from ladderfield.gauge_continuum import (
     fierz_pauli_apply,
@@ -29,6 +29,7 @@ from ladderfield.gauge_continuum import (
     null_space_dimension,
     output_divergence,
     sym_to_vec,
+    vec_to_sym,
 )
 from ladderfield.partition import (
     brute_force_Z,
@@ -47,6 +48,7 @@ from ladderfield.scc import (
     verify_scc,
 )
 from ladderfield.spectral import (
+    continue_to_lorentzian,
     ladder_spectrum_closed_form,
     lorentzian_operator,
     numeric_spectrum,
@@ -58,6 +60,8 @@ from ladderfield.twinslit import (
     conditional_amplitude,
     geometry_to_links,
     interference_phase_difference,
+    nrqm_intensity,
+    nrqm_maximum_position,
     phase_decomposition,
     phase_exponent,
     split_links,
@@ -354,6 +358,26 @@ def test_mode_entry_points_refuse_a_mode_that_is_not_an_integer(entry, mode):
         MODE_ENTRY_POINTS[entry](mode)
 
 
+SELECTOR_ENTRY_POINTS = {
+    "conditional_amplitude": (
+        lambda which: conditional_amplitude(TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, 2.0), which, 0.0, 4),
+        "graph selector must be 1 or 2, got {}",
+    ),
+    "build_operator": (lambda n: build_operator(_C4, n, 1), "unsupported chain degree {}; expected 1 or 2"),
+    "build_source": (lambda n: build_source(_C4, n, np.ones(4), 1), "unsupported chain degree {}; expected 1 or 2"),
+    "build_system": (lambda n: build_system(_C4, n, np.ones(4)), "unsupported chain degree {}; expected 1 or 2"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 2.0, np.float64(1.0), 3, 0])
+@pytest.mark.parametrize("entry", sorted(SELECTOR_ENTRY_POINTS))
+def test_integer_selectors_refuse_bools_floats_and_other_integers(entry, value):
+    # one rule with the mode index: True once selected graph 1 or degree 1, and 2.0 graph 2 or degree 2
+    call, message = SELECTOR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
+
+
 @pytest.mark.parametrize("lambda_hat", [float("inf"), float("nan"), 1e-200, 1e-154, 1e155, 1e200])
 def test_calibration_refuses_couplings_outside_the_float_range(lambda_hat):
     # 1e-154: alpha fits but alpha^2 overflows; 1e155: lambda_hat^2 overflows
@@ -366,6 +390,80 @@ def test_calibration_refuses_couplings_outside_the_float_range(lambda_hat):
 def test_calibration_just_inside_the_float_range(lambda_hat):
     cfg = TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, lambda_hat)
     assert math.isclose(cfg.alpha**2 / (cfg.hbar * cfg.beta), 2 * math.pi, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("hbar, message", [
+    (0, "coupling hbar must be nonzero, got 0"), (-0.0, "coupling hbar must be nonzero, got -0.0"),
+    (math.inf, "coupling hbar must be finite, got inf"), (math.nan, "coupling hbar must be finite, got nan"),
+])
+def test_calibration_names_a_bad_hbar(hbar, message):
+    # once blamed on lambda_hat: "lambda_hat=2.0 gives a zero or non-finite alpha, beta or alpha^2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, 2.0, hbar=hbar)
+
+
+WAVELENGTH_ENTRY_POINTS = {
+    "geometry_to_links": lambda lam: geometry_to_links(SlitGeometry(10.0, 1000.0, 1.0, lam), 8),
+    "nrqm_intensity": lambda lam: nrqm_intensity(1.0, lam),
+    "nrqm_maximum_position": lambda lam: nrqm_maximum_position(10.0, 1000.0, lam, 1),
+    "nrqm_maximum_position_order_0": lambda lam: nrqm_maximum_position(10.0, 1000.0, lam, 0),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, -2.0, math.nan, -math.inf])
+@pytest.mark.parametrize("entry", sorted(WAVELENGTH_ENTRY_POINTS))
+def test_wavelength_entry_points_refuse_a_wavelength_that_is_not_positive(entry, lam):
+    # a NaN wavelength once gave NaN rung values, a zero one a ZeroDivisionError or -0.0
+    with pytest.raises(ValueError, match=f"^{re.escape(f'wavelength must be positive, got {lam}')}$"):
+        WAVELENGTH_ENTRY_POINTS[entry](lam)
+
+
+@pytest.mark.parametrize("path_diff", [math.nan, math.inf, -math.inf])
+def test_nrqm_intensity_refuses_a_path_difference_that_is_not_finite(path_diff):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'path difference must be finite, got {path_diff}')}$"):
+        nrqm_intensity(path_diff, 2.0)
+
+
+def test_outcome_probability_refuses_an_outcome_that_is_not_finite():
+    for outcome in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^outcome must be finite$"):
+            outcome_probability(build_system(_C4, 1, np.ones(4)), ladder_spectrum_closed_form(4), 1, outcome)
+
+
+def _negative_mode_refusal():
+    n = 6  # continued: eigenvalues -2, -1, 0, 1, 1, 3
+    c = build_chain_complex(n)
+    system = build_system(c, 1, gradient_link_values(c, np.arange(n)))
+    outcome_probability(system, continue_to_lorentzian(ladder_spectrum_closed_form(n), n), 0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_graph("# a comment\n\n"), "empty graph description"),
+        (lambda: project_source(np.ones(5), ladder_spectrum_closed_form(4)), "source has shape (5,), expected (4,)"),
+        (lambda: gradient_link_values(_C4, np.ones(3)), "vertex values have shape (3,), expected (4,)"),
+        (lambda: verify_scc(build_system(_C4, 1, np.ones(4)), np.ones(5)),
+         "vertex values have shape (5,), expected (4,)"),
+        (lambda: vec_to_sym(np.ones(9)), "expected 10 coordinates, got shape (9,)"),
+        (lambda: phase_decomposition(np.ones(7), 6, 1.0, 1.0, 1.0, regime="minkowski"), "unknown regime 'minkowski'"),
+        (lambda: TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, lambda_hat=0), "lambda_hat must be positive, got 0"),
+        (lambda: continue_to_lorentzian(ladder_spectrum_closed_form(6), 8), "spectrum has 6 modes but n_vertices is 8"),
+        (_negative_mode_refusal, "non-Gaussian-convergent mode: eigenvalue -2.000000e+00 <= 0"),
+    ],
+    ids=[
+        "parse_graph_no_data_lines", "project_source_wrong_length", "gradient_wrong_length",
+        "verify_scc_wrong_length", "vec_to_sym_wrong_shape", "phase_decomposition_unknown_regime",
+        "calibration_zero_lambda_hat", "continuation_mismatched_n", "outcome_at_a_negative_continued_mode",
+    ],
+)
+def test_refusals_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_zero_kernel_is_all_null_space():
+    assert null_space_dimension(np.zeros((4, 4))) == 4
 
 
 @pytest.mark.parametrize("d, L", [(math.nan, 1000.0), (10.0, math.inf), (10.0, math.nan)])

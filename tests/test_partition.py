@@ -362,7 +362,7 @@ def test_sampling_oracle_refuses_a_budget_below_two(budget):
 
 
 @pytest.mark.parametrize("method", ["quadrature", "mc"])
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", np.float64(2.0)])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", np.float64(2.0), True, False])
 def test_oracles_refuse_a_seed_that_is_no_non_negative_integer(method, seed):
     system, _ = make_system(4, 0)
     s = ladder_spectrum_closed_form(4)

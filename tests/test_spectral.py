@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -262,6 +263,22 @@ def test_continuation_requires_parity_tags():
     s = numeric_spectrum(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         continue_to_lorentzian(s, 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: numeric_spectrum(dense_operator(n)),
+    lambda n: replace(ladder_spectrum_closed_form(n)),
+    lambda n: replace(continue_to_lorentzian(ladder_spectrum_closed_form(n), n)),
+], ids=["numeric", "replaced_closed_form", "replaced_continuation"])
+def test_only_a_closed_form_spectrum_is_continued(make):
+    # every tag is set on these, but none keeps the basis whose mode indices give each parity
+    n = 8
+    message = ("only a closed-form ladder spectrum can be continued; "
+               "for any other, take numeric_spectrum(lorentzian_operator(K))")
+    s = make(n)
+    assert None not in s.parity
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        continue_to_lorentzian(s, n)
 
 
 def test_eigenpairs_iteration():

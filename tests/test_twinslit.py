@@ -410,15 +410,16 @@ def test_amplitude_rejects_zero_mode_and_bad_selector():
 
 @pytest.mark.parametrize("outcome", [math.nan, math.inf, -math.inf])
 def test_amplitude_refuses_an_outcome_that_is_not_finite(outcome):
+    # by name: the overflow wording is kept for finite inputs
     cfg = TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, 2.0)
-    with pytest.raises(ValueError, match="^conditional phase is not finite"):
+    with pytest.raises(ValueError, match="^outcome must be finite$"):
         conditional_amplitude(cfg, 1, outcome, 4)
 
 
 @pytest.mark.parametrize("e_x", [math.nan, math.inf])
 @pytest.mark.parametrize("phase", [interference_phase_difference, interference_order])
 def test_interference_refuses_a_rung_value_that_is_not_finite(phase, e_x):
-    with pytest.raises(ValueError, match="^interference phase difference is not finite"):
+    with pytest.raises(ValueError, match="^rung values must be finite$"):
         phase(TwinSlitConfig(8, e_x, 0.5, 1.0, 1.0, 1.0))
 
 
