@@ -132,6 +132,15 @@ def check_finite(a, what: str):
     return a
 
 
+def check_array(x, shape: tuple, what: str, dtype=None) -> np.ndarray:
+    """``np.asarray(x, dtype)``, the array ``what`` of a fixed shape; ValueError unless it has ``shape``
+    (``<what> have shape S, expected T``) and finite entries (check_finite)."""
+    a = np.asarray(x, dtype)
+    if a.shape != shape:
+        raise ValueError(f"{what} have shape {a.shape}, expected {shape}")
+    return check_finite(a, what)
+
+
 def check_square(a: np.ndarray) -> np.ndarray:
     """``a`` unchanged; ValueError unless it is a 2-D square matrix."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -487,15 +496,12 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
 
     Checks: every d1 column is one +1 and one -1 (a genuine link), d1
     columns sum to zero, every d2 column has four nonzero entries that
-    balance in sign, and the composition d1 @ d2 vanishes.  Shape
-    mismatch between d1 and d2 is a hard error, not a failed check.
+    balance in sign, and the composition d1 @ d2 vanishes.  A d1 and d2
+    whose link dimensions differ are a hard error, not a failed check.
     """
     d1, d2 = c.nonzeros
     if d1.shape[1] != d2.shape[0]:
-        raise ValueError(
-            f"shape mismatch: d1 is {d1.shape} but d2 is {d2.shape}; "
-            "link dimensions must agree"
-        )
+        raise ValueError(f"d1 has shape {d1.shape} but d2 has shape {d2.shape}; link dimensions must agree")
 
     checks = []
 

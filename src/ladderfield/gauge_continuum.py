@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain_complex import _finite, check_finite, check_symmetric
+from .chain_complex import _finite, check_array, check_finite, check_symmetric
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 MINKOWSKI.setflags(write=False)
@@ -44,10 +44,7 @@ NULL_SV_RTOL = 1e-9
 
 def _four_vector(v, name="momentum") -> np.ndarray:
     """``v`` as a float array; ValueError unless it has shape (4,) and finite components."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (4,):
-        raise ValueError(f"expected a four-vector, got shape {v.shape}")
-    return check_finite(v, f"{name} components")
+    return check_array(v, (4,), f"{name} components", float)
 
 
 def _tensors(h) -> np.ndarray:
@@ -140,14 +137,11 @@ SYMMETRIC_BASIS.setflags(write=False)
 
 def sym_to_vec(h) -> np.ndarray:
     """Coordinates of a symmetric tensor (or of each of a stack h[..., 4, 4]) in SYMMETRIC_BASIS."""
-    return np.einsum("pab,...ab->...p", SYMMETRIC_BASIS, _tensors(h))
+    return np.einsum("pab,...ab->...p", SYMMETRIC_BASIS, check_finite(_tensors(h), "tensor entries"))
 
 
 def vec_to_sym(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (10,):
-        raise ValueError(f"expected 10 coordinates, got shape {x.shape}")
-    return np.einsum("p,pab->ab", x, SYMMETRIC_BASIS)
+    return np.einsum("p,pab->ab", check_array(x, (10,), "coordinates", float), SYMMETRIC_BASIS)
 
 
 def fierz_pauli_kernel(k) -> np.ndarray:
@@ -183,6 +177,7 @@ def output_divergence(k, out) -> np.ndarray | float:
     out = np.asarray(out, dtype=float)
     if out.shape[:1] != (4,):
         raise ValueError(f"expected an output whose first axis is 4, got shape {out.shape}")
+    check_finite(out, "output entries")
     div = _finite("output divergence", lambda: np.tensordot(k, out, axes=1))  # the first axis, at any rank
     return float(div) if out.ndim == 1 else div
 
@@ -200,10 +195,7 @@ def _scaled_up(a: np.ndarray, core: int) -> np.ndarray:
 def null_residual(kernel, direction) -> float:
     """|kernel . direction| / (|kernel| |direction|), a scale-free nullity measure."""
     kernel = _kernel(kernel)
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != kernel.shape[1:]:
-        raise ValueError(f"expected a direction of shape {kernel.shape[1:]}, got shape {direction.shape}")
-    return float(_null_residuals(kernel, check_finite(direction, "direction entries")))
+    return float(_null_residuals(kernel, check_array(direction, kernel.shape[1:], "direction entries", float)))
 
 
 def _null_residuals(kernel: np.ndarray, direction: np.ndarray) -> np.ndarray:

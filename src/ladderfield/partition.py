@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_complex import _finite, _is_integer, check_finite
+from .chain_complex import _finite, _is_integer, check_array
 from .errors import RowSpaceError
 from .scc import SccSystem
 from .spectral import Spectrum, _nonzero_mask, _project, _synthesize
@@ -77,10 +77,7 @@ def _check_mode(spectrum: Spectrum, mode) -> None:
 def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float, signed: bool = True) -> np.ndarray:
     """J's components in spectrum order (``signed`` as in spectral._project); RowSpaceError
     for a zero-mode one above row_space_tol * |J|."""
-    J = np.asarray(J, dtype=float)
-    if J.shape != (spectrum.n_modes,):
-        raise ValueError(f"source has shape {J.shape}, expected ({spectrum.n_modes},)")
-    check_finite(J, "source entries")
+    J = check_array(J, (spectrum.n_modes,), "source entries", float)
     proj = _project(spectrum, J, signed)
     if spectrum.zero_modes and row_space_tol < np.inf:  # numpy.inf skips the check
         worst = float(np.max(np.abs(proj[list(spectrum.zero_modes)])))
@@ -146,10 +143,10 @@ def outcome_probability(
 
     This is the normalized distribution obtained by integrating out all
     other modes: mean Jt_k / a_k, variance 1 / a_k.  ValueError for an
-    outcome that is not finite.
+    outcome that is not a finite scalar.
     """
     _check_mode(spectrum, mode)
-    q = float(check_finite(np.asarray(outcome, dtype=float), "outcome"))
+    q = float(check_array(outcome, (), "outcome", float))
     proj = _row_space_projection(system.J, spectrum, row_space_tol)
     a = float(spectrum.eigenvalues[mode])
     if a <= 0.0:

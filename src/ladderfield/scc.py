@@ -39,8 +39,8 @@ from .chain_complex import (
     _Nonzeros,
     _product,
     _ReadOnlyState,
+    check_array,
     check_coupling,
-    check_finite,
     check_square,
 )
 from .errors import SccViolation
@@ -119,12 +119,8 @@ def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
     """J = alpha * d_n @ e for cell values e one degree up."""
     d = _select_boundary(c, n)
-    e = np.asarray(cell_values)
-    if e.shape != (d.shape[1],):
-        raise ValueError(
-            f"cell values have shape {e.shape}, expected ({d.shape[1]},) for degree {n}"
-        )
-    if _exact_route(alpha, check_finite(e, "cell values"), d):
+    e = check_array(cell_values, (d.shape[1],), "cell values")
+    if _exact_route(check_coupling(alpha, "alpha"), e, d):
         return _frozen(int(alpha) * d.dot(e))
     return _frozen(_finite("source alpha * d @ e", lambda: float(alpha) * d.dot(e.astype(float))))
 
@@ -152,10 +148,8 @@ def build_system(
 def gradient_link_values(c: ChainComplex, vertex_values) -> np.ndarray:
     """e = d1.T @ v: each link gets head value minus tail value."""
     d1_t = c.nonzeros[0].T
-    v = np.asarray(vertex_values)
-    if v.shape != (d1_t.shape[1],):
-        raise ValueError(f"vertex values have shape {v.shape}, expected ({d1_t.shape[1]},)")
-    _exact_route(1, check_finite(v, "vertex values"), d1_t)  # raises where an integer gradient could wrap
+    v = check_array(vertex_values, (d1_t.shape[1],), "vertex values")
+    _exact_route(1, v, d1_t)  # raises where an integer gradient could wrap
     return _frozen(d1_t.dot(v))
 
 

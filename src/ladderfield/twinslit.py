@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._ladder_transform import dct2, dst1, ladder_eigenvalues, rails, zero_modes
-from .chain_complex import _finite, _is_integer, build_chain_complex, check_coupling, check_finite, check_n
+from .chain_complex import _finite, _is_integer, build_chain_complex, check_array, check_coupling, check_finite, check_n
 from .errors import GaugeObstruction
 from .partition import _check_mode, _outside_row_space, project_source
 from .scc import build_source
@@ -140,11 +140,8 @@ class TwinSlitConfig:
 def split_links(link_values, n_vertices: int):
     """(left rail, right rail, rungs) views of a rail-major link vector of finite values."""
     n = check_n(n_vertices)
-    e = np.asarray(link_values, dtype=float)
     half = n // 2
-    if e.shape != (3 * half - 2,):
-        raise ValueError(f"link vector has shape {e.shape}, expected ({3 * half - 2},)")
-    check_finite(e, "link values")
+    e = check_array(link_values, (3 * half - 2,), "link values", float)
     return e[: half - 1], e[half - 1 : n - 2], e[n - 2 :]
 
 
@@ -172,10 +169,8 @@ def phase_exponent(projections, eigenvalues, hbar: float, beta: float) -> float:
     finite and nonzero; a phase past the float range is refused with ValueError.
     """
     _check_divisors(hbar=hbar, beta=beta)
-    jt = np.asarray(projections, dtype=float)
-    a = np.asarray(eigenvalues, dtype=float)
-    if jt.shape != a.shape:
-        raise ValueError(f"shape mismatch: {jt.shape} projections vs {a.shape} eigenvalues")
+    a = check_finite(np.asarray(eigenvalues, dtype=float), "eigenvalues")
+    jt = check_array(projections, a.shape, "projections", float)
     if np.any(a == 0.0):
         raise ValueError("zero eigenvalue passed to phase_exponent; drop null modes first")
     return float(_finite("phase exponent", lambda: np.sum(jt**2 / (2.0 * a * hbar * beta))))
@@ -332,7 +327,7 @@ def conditional_amplitude(
     """
     if not _is_integer(which) or which not in (1, 2):
         raise ValueError(f"graph selector must be 1 or 2, got {which}")
-    q = float(check_finite(np.asarray(outcome, dtype=float), "outcome"))
+    q = float(check_array(outcome, (), "outcome", float))
     n = config.n_vertices
     e_x = config.e_x if which == 1 else config.e_x_alt
     links = uniform_link_values(n, e_x, config.e_T)
@@ -475,12 +470,15 @@ def _fringe_sweep(n_vertices, d: float, L: float, wavelength: float, ys):
 
 
 def nrqm_intensity(path_diff: float, wavelength: float) -> float:
-    """Two-beam reference intensity 2 + 2 cos(2 pi path_diff / wavelength), for a finite path difference
-    and a positive wavelength."""
+    """Two-beam reference intensity 2 + 2 cos(2 pi path_diff / wavelength), for a finite path difference,
+    a positive wavelength and a phase within the float range."""
     _check_wavelength(wavelength)
     if not math.isfinite(path_diff):
         raise ValueError(f"path difference must be finite, got {path_diff}")
-    return 2.0 + 2.0 * math.cos(2.0 * math.pi * path_diff / wavelength)
+    phase = 2.0 * math.pi * path_diff / wavelength
+    if not math.isfinite(phase):  # _finite names it; checked here first, so no sweep row pays its errstate
+        _finite("NRQM phase", lambda: phase)
+    return 2.0 + 2.0 * math.cos(phase)
 
 
 def nrqm_maximum_position(
@@ -490,10 +488,17 @@ def nrqm_maximum_position(
 
     The locus of constant path difference is a hyperbola with the slits
     as foci; this is its intersection with the screen.  Positive orders
-    land at negative y with slit 1 on the positive side.  |order| is
-    limited by the slit separation, and the wavelength must be positive.
+    land at negative y with slit 1 on the positive side.  The order must be
+    an integer, |order| is limited by the slit separation, the separation
+    and screen distance must be finite, and the wavelength positive.
     """
     _check_wavelength(wavelength)
+    if not (math.isfinite(slit_separation) and math.isfinite(screen_distance)):
+        raise ValueError(
+            f"slit separation and screen distance must be finite, got {slit_separation} and {screen_distance}"
+        )
+    if not _is_integer(order):
+        raise ValueError(f"order must be an integer, got {order!r}")
     a = -order * wavelength / 2.0
     c = slit_separation / 2.0
     if order == 0:

@@ -491,11 +491,15 @@ def test_python_dash_m_runs_the_cli():
         (("spectrum", "--n", "6", "--beta", "nan"), "nan"),
         (("spectrum", "--n", "6", "--beta=-inf", "--lorentzian"), "-inf"),
         (("partition", "--source", "preset:twin6", "--beta", "inf"), "inf"),
+        # a NaN alpha was once called an overflow of the source
+        (("scc", "--n", "6", "--alpha", "nan"), "nan"),
+        (("partition", "--source", "preset:twin6", "--alpha", "nan"), "nan"),
     ],
 )
 def test_non_finite_coupling_is_an_error(argv, shown):
     rc, out, err = run(*argv)
-    assert (rc, out, err) == (1, "", f"error: coupling beta must be finite, got {shown}\n")
+    name = "alpha" if "--alpha" in argv else "beta"
+    assert (rc, out, err) == (1, "", f"error: coupling {name} must be finite, got {shown}\n")
 
 
 def test_partition_oracles_at_restricted_dimension_zero(tmp_path):

@@ -136,15 +136,21 @@ def test_verify_scc_reports_the_unwrapped_residual():
     assert excinfo.value.max_residual == pytest.approx(2**61 + 2**63 - 1, rel=1e-15)
 
 
+_OVERFLOW = "source alpha * d @ e is not finite: the inputs overflow the float range"
+
+
 @pytest.mark.parametrize(
-    "e, alpha",
+    "e, alpha, message",
     [
-        ([1e300, 0, 0, 0], 1e10), ([1e308, 1e308, 1e308, 1e308], 1.0), ([1.0, 0, 0, 0], float("nan")),
-        pytest.param([1.0, 0, 0, 0], 10**400, id="int_alpha_past_the_float_range"),
+        ([1e300, 0, 0, 0], 1e10, _OVERFLOW), ([1e308, 1e308, 1e308, 1e308], 1.0, _OVERFLOW),
+        # a NaN alpha was once called an overflow too
+        ([1.0, 0, 0, 0], float("nan"), "coupling alpha must be finite, got nan"),
+        ([1.0, 0, 0, 0], 10**400, _OVERFLOW),
     ],
+    ids=["e0-10000000000.0", "e1-1.0", "e2-nan", "int_alpha_past_the_float_range"],
 )
-def test_build_source_refuses_a_non_finite_source(e, alpha):
-    with pytest.raises(ValueError, match="^source alpha \\* d @ e is not finite"):
+def test_build_source_refuses_a_non_finite_source(e, alpha, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_source(build_chain_complex(4), 1, np.array(e), alpha)
 
 
@@ -310,23 +316,49 @@ def test_link_values_must_be_finite(entry, bad):
 
 _C4 = build_chain_complex(4)
 
+#: Each entry point that reads an array of entries: a call on the array, the name its refusals give
+#: it, its shape, and an argument of another shape, or None where no fixed shape is read.  Every
+#: momentum is read the same way, and MOMENTUM_ENTRY_POINTS walks those.
 ARRAY_ENTRY_POINTS = {
-    "build_source": (lambda x: build_source(_C4, 1, x, 1.0), "cell values"),
-    "gradient_link_values": (lambda x: gradient_link_values(_C4, x), "vertex values"),
-    "project_source": (lambda x: project_source(x, ladder_spectrum_closed_form(4)), "source entries"),
-    "null_residual": (lambda x: null_residual(np.eye(4), x), "direction entries"),
-    "null_space_dimension": (lambda x: null_space_dimension(np.diag(x)), "kernel entries"),
+    "build_source": (lambda x: build_source(_C4, 1, x, 1.0), "cell values", (4,), np.ones(5)),
+    "gradient_link_values": (lambda x: gradient_link_values(_C4, x), "vertex values", (4,), np.ones(3)),
+    "project_source": (
+        lambda x: project_source(x, ladder_spectrum_closed_form(4)), "source entries", (4,), np.ones(5)
+    ),
+    "outcome_probability": (
+        lambda q: outcome_probability(build_system(_C4, 1, np.ones(4)), ladder_spectrum_closed_form(4), 1, q),
+        "outcome", (), [1.0, 2.0],
+    ),
+    "conditional_amplitude": (
+        lambda q: conditional_amplitude(TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, 2.0), 1, q, 4),
+        "outcome", (), [1.0, 2.0],
+    ),
+    "split_links": (lambda x: split_links(x, 6), "link values", (7,), np.ones((7, 1))),
+    "phase_exponent": (lambda x: phase_exponent(x, np.ones(4), 1.0, 1.0), "projections", (4,), np.ones((2, 2))),
+    "gauge_tensor": (lambda x: gauge_tensor(_K, x), "gauge parameter components", (4,), np.ones(3)),
+    "vec_to_sym": (vec_to_sym, "coordinates", (10,), np.ones(9)),
+    "null_residual": (lambda x: null_residual(np.eye(4), x), "direction entries", (4,), np.ones((4, 1))),
+    # its kernel is read by _kernel, whose shape rules KERNEL_ENTRY_POINTS walks
+    "null_space_dimension": (lambda x: null_space_dimension(np.diag(x)), "kernel entries", (4,), None),
 }
 
+_ARRAY_CASES = [
+    (entry, bad) for entry in sorted(ARRAY_ENTRY_POINTS) for bad in (np.nan, np.inf, -np.inf, "shape")
+    if bad != "shape" or ARRAY_ENTRY_POINTS[entry][3] is not None
+]
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+
+@pytest.mark.parametrize("entry, bad", _ARRAY_CASES, ids=[f"{entry}-{bad}" for entry, bad in _ARRAY_CASES])
 def test_every_array_entry_point_names_its_non_finite_entries(entry, bad):
-    # one rule, chain_complex.check_finite; a NaN source once gave NaN projections
-    call, what = ARRAY_ENTRY_POINTS[entry]
-    x = np.ones(4)
-    x[1] = bad
-    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be finite$"):
+    # one rule, chain_complex.check_array: a NaN source once gave NaN projections, NaN projections an
+    # overflow message, and an array outcome a numpy TypeError
+    call, what, shape, wrong = ARRAY_ENTRY_POINTS[entry]
+    if bad == "shape":
+        x, message = wrong, f"{what} have shape {np.shape(wrong)}, expected {shape}"
+    else:
+        x, message = np.ones(shape), f"{what} must be finite"
+        x.flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(x)
 
 
@@ -334,7 +366,7 @@ def test_every_array_entry_point_names_its_non_finite_entries(entry, bad):
 @pytest.mark.parametrize("entry", ["build_source", "gradient_link_values"])
 def test_integer_entry_points_refuse_an_integer_past_int64(entry, big):
     # numpy holds such a list as an object array, on which isfinite raised a TypeError
-    call, what = ARRAY_ENTRY_POINTS[entry]
+    call, what, *_ = ARRAY_ENTRY_POINTS[entry]
     message = f"{what} must be floats or integers within the int64 range (|x| < 2**63)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call([big, 0, 0, 0])
@@ -441,20 +473,38 @@ def _negative_mode_refusal():
     "call, message",
     [
         (lambda: parse_graph("# a comment\n\n"), "empty graph description"),
-        (lambda: project_source(np.ones(5), ladder_spectrum_closed_form(4)), "source has shape (5,), expected (4,)"),
+        (lambda: project_source(np.ones(5), ladder_spectrum_closed_form(4)),
+         "source entries have shape (5,), expected (4,)"),
         (lambda: gradient_link_values(_C4, np.ones(3)), "vertex values have shape (3,), expected (4,)"),
         (lambda: verify_scc(build_system(_C4, 1, np.ones(4)), np.ones(5)),
          "vertex values have shape (5,), expected (4,)"),
-        (lambda: vec_to_sym(np.ones(9)), "expected 10 coordinates, got shape (9,)"),
+        (lambda: vec_to_sym(np.ones(9)), "coordinates have shape (9,), expected (10,)"),
         (lambda: phase_decomposition(np.ones(7), 6, 1.0, 1.0, 1.0, regime="minkowski"), "unknown regime 'minkowski'"),
         (lambda: TwinSlitConfig.calibrated(8, 1.0, 0.5, 1.0, lambda_hat=0), "lambda_hat must be positive, got 0"),
         (lambda: continue_to_lorentzian(ladder_spectrum_closed_form(6), 8), "spectrum has 6 modes but n_vertices is 8"),
         (_negative_mode_refusal, "non-Gaussian-convergent mode: eigenvalue -2.000000e+00 <= 0"),
+        # once a bare "math domain error"
+        (lambda: nrqm_intensity(1.0, 1e-320), "NRQM phase is not finite: the inputs overflow the float range"),
+        # once a NaN position, and order 1.5 a minimum's position
+        (lambda: nrqm_maximum_position(math.nan, 1000.0, 1.0, 1),
+         "slit separation and screen distance must be finite, got nan and 1000.0"),
+        (lambda: nrqm_maximum_position(10.0, math.inf, 1.0, 1),
+         "slit separation and screen distance must be finite, got 10.0 and inf"),
+        (lambda: nrqm_maximum_position(1000.0, 1000.0, 1.0, 1.5), "order must be an integer, got 1.5"),
+        (lambda: nrqm_maximum_position(1000.0, 1000.0, 1.0, True), "order must be an integer, got True"),
+        # once NaN coordinates, then an overflow message twice
+        (lambda: sym_to_vec(np.full((4, 4), np.nan)), "tensor entries must be finite"),
+        (lambda: output_divergence(_K, np.full(4, np.nan)), "output entries must be finite"),
+        (lambda: phase_exponent(np.ones(4), [1.0, np.nan, 1.0, 1.0], 1.0, 1.0), "eigenvalues must be finite"),
     ],
     ids=[
         "parse_graph_no_data_lines", "project_source_wrong_length", "gradient_wrong_length",
         "verify_scc_wrong_length", "vec_to_sym_wrong_shape", "phase_decomposition_unknown_regime",
         "calibration_zero_lambda_hat", "continuation_mismatched_n", "outcome_at_a_negative_continued_mode",
+        "nrqm_intensity_phase_past_the_float_range", "nrqm_maximum_position_nan_separation",
+        "nrqm_maximum_position_infinite_screen", "nrqm_maximum_position_fractional_order",
+        "nrqm_maximum_position_bool_order", "sym_to_vec_nan_tensor", "output_divergence_nan_output",
+        "phase_exponent_nan_eigenvalue",
     ],
 )
 def test_refusals_name_the_bad_input(call, message):
@@ -494,9 +544,9 @@ MOMENTUM_ENTRY_POINTS = {
         ([np.inf, 0, 0, 0], "momentum components must be finite"),
         ([0, 0, -np.inf, 0], "momentum components must be finite"),
         ([1.0, np.nan, 0, 0], "momentum components must be finite"),
-        ([1, 2, 3], "expected a four-vector, got shape (3,)"),
-        (np.eye(4), "expected a four-vector, got shape (4, 4)"),
-        (2.0, "expected a four-vector, got shape ()"),
+        ([1, 2, 3], "momentum components have shape (3,), expected (4,)"),
+        (np.eye(4), "momentum components have shape (4, 4), expected (4,)"),
+        (2.0, "momentum components have shape (), expected (4,)"),
     ],
 )
 @pytest.mark.parametrize("entry", sorted(MOMENTUM_ENTRY_POINTS))
@@ -538,7 +588,7 @@ def test_gauge_kernels_refuse_a_result_past_the_float_range(call, what):
 def test_gauge_tensor_refuses_a_bad_gauge_parameter():
     with pytest.raises(ValueError, match="^gauge parameter components must be finite$"):
         gauge_tensor(_K, [np.inf, 0, 0, 0])
-    with pytest.raises(ValueError, match=re.escape("expected a four-vector, got shape (3,)")):
+    with pytest.raises(ValueError, match=re.escape("gauge parameter components have shape (3,), expected (4,)")):
         gauge_tensor(_K, [1, 2, 3])
 
 
@@ -636,9 +686,9 @@ def test_every_kernel_entry_point_refuses_a_bad_kernel_the_same_way(entry, kerne
 @pytest.mark.parametrize(
     "kernel, direction, message",
     [
-        (np.eye(4), np.ones(3), "expected a direction of shape (4,), got shape (3,)"),
-        (np.eye(10), np.ones(4), "expected a direction of shape (10,), got shape (4,)"),
-        (np.eye(4), np.ones((4, 1)), "expected a direction of shape (4,), got shape (4, 1)"),
+        (np.eye(4), np.ones(3), "direction entries have shape (3,), expected (4,)"),
+        (np.eye(10), np.ones(4), "direction entries have shape (4,), expected (10,)"),
+        (np.eye(4), np.ones((4, 1)), "direction entries have shape (4, 1), expected (4,)"),
         (np.eye(4), [1.0, np.nan, 0.0, 0.0], "direction entries must be finite"),
         (np.eye(4), [0.0, 0.0, np.inf, 0.0], "direction entries must be finite"),
     ],
