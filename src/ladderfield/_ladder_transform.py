@@ -23,18 +23,19 @@ from .chain_complex import _frozen, _kept, _ReadOnlyState
 _BLOCK_ENTRIES = 1 << 18
 
 
-def ladder_eigenvalues(n: int) -> np.ndarray:
-    """Unit-coupling eigenvalues: lam_j - 1 (symmetric) in place 2j, lam_j + 1 in place 2j + 1; read-only,
-    kept in the ladder table, as the phase split reads them per configuration."""
+def ladder_eigenvalues(n: int, continued: bool = False) -> np.ndarray:
+    """Unit-coupling eigenvalues, read-only and kept per regime: 4 sin^2(pi j/N) in place 2j (symmetric) and
+    2 + 4 sin^2(pi j/N), or continued 2 sin((4j - N) pi/2N), exactly 0.0 at j = N/4, in place 2j + 1."""
     def build():
-        lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2) / n)
-        return _frozen(np.stack((lam - 1.0, lam + 1.0), axis=1).ravel())
-    return _kept(n, "eigenvalues", build)
+        j = np.arange(n // 2)
+        sym = 4.0 * np.sin(np.pi * j / n) ** 2
+        anti = 2.0 * np.sin((4 * j - n) * np.pi / (2 * n)) if continued else 2.0 + sym
+        return _frozen(np.stack((sym, anti), axis=1).ravel())
+    return _kept(n, ("eigenvalues", continued), build)
 
 
 def zero_modes(n: int, continued: bool) -> list[int]:
-    """Modes of exact eigenvalue 0: symmetric j = 0, and antisymmetric j = N/4 when continued and 4 | N
-    (its float value is not 0.0 at some such N, the first being N = 44)."""
+    """Modes of exact eigenvalue 0: symmetric j = 0, and antisymmetric j = N/4 when continued and 4 | N."""
     return [0, n // 2 + 1] if continued and n % 4 == 0 else [0]
 
 

@@ -44,6 +44,9 @@ import numpy as np
 TEMPORAL = "temporal"
 SPATIAL = "spatial"
 
+#: Largest gap between a matrix and its transpose or its rail swap, relative to max(its largest |entry|, 1).
+SYMMETRY_RTOL = 1e-12
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -148,17 +151,18 @@ def check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_symmetric(a) -> np.ndarray:
-    """``a`` as floats; ValueError unless each matrix ``a[..., :, :]`` is finite and symmetric.
-
-    Each matrix's largest asymmetry may be at most 1e-12 times its largest
-    entry (or 1e-12, for entries below 1).
-    """
-    a = check_finite(np.asarray(a, dtype=float), "matrix entries")
+def _gap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix a[..., :, :]'s largest |a - b|, and whether it is at most SYMMETRY_RTOL * max(max|a|, 1)."""
     with np.errstate(over="ignore"):  # finite entries of opposite sign near the float maximum
-        asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1), initial=0.0)
-    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
-    if not np.all(asym <= 1e-12 * scale):
+        gap = np.max(np.abs(a - b), axis=(-2, -1), initial=0.0)
+    return gap, gap <= SYMMETRY_RTOL * np.maximum(np.max(np.abs(a), axis=(-2, -1), initial=0.0), 1.0)
+
+
+def check_symmetric(a) -> np.ndarray:
+    """``a`` as floats; ValueError unless each matrix ``a[..., :, :]`` is finite and symmetric by _gap."""
+    a = check_finite(np.asarray(a, dtype=float), "matrix entries")
+    asym, symmetric = _gap(a, np.swapaxes(a, -1, -2))
+    if not np.all(symmetric):
         raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(asym):.3e})")
     return a
 

@@ -2,26 +2,26 @@
 
 For the degree-1 ladder operator K = beta * d1 @ d1.T on N vertices the
 whole eigensystem is known in closed form.  Write s_j = sin(j pi / N)
-and lam_j = 3 - 2 cos(2 pi j / N) for j = 0 .. N/2 - 1, and let x_j be
-the half-vector
+for j = 0 .. N/2 - 1, and let x_j be the half-vector
 
     x_0k = sqrt(1/N),   x_jk = sqrt(2/N) cos(j (2k - 1) pi / N)   (j > 0)
 
 for k = 1 .. N/2.  Then [x_j; x_j] is an eigenvector with eigenvalue
-beta (lam_j - 1) (rail-swap symmetric) and [x_j; -x_j] one with
-eigenvalue beta (lam_j + 1) (antisymmetric).  j = 0 symmetric is the
-constant gauge zero mode.
+4 beta s_j^2 (rail-swap symmetric) and [x_j; -x_j] one with eigenvalue
+beta (2 + 4 s_j^2) (antisymmetric).  j = 0 symmetric is the constant
+gauge zero mode.
 
 The Lorentzian continuation replaces K by
 
     K_M = K - 2 beta [[I, -I], [-I, I]]
 
-which leaves symmetric eigenpairs alone and shifts every antisymmetric
-eigenvalue down by 4 beta.  When N is a multiple of 4 the antisymmetric
-j = N/4 eigenvalue lands exactly on zero, and the continued operator
-picks up a second null direction.  ``continue_to_lorentzian`` makes that
-shift on a closed-form spectrum only, whose mode indices give each parity;
-any other K_M is diagonalized by ``numeric_spectrum(lorentzian_operator(K))``.
+which leaves symmetric eigenpairs alone and takes every antisymmetric
+eigenvalue 4 beta lower, to 2 beta sin((4j - N) pi / 2N): exactly zero at
+j = N/4 when 4 | N, a second null direction.  _ladder_transform holds
+the unit eigenvalues of both regimes, each formed without cancellation;
+``continue_to_lorentzian`` reads them for a closed-form Euclidean
+spectrum only, whose mode indices give each parity; any other K_M is
+diagonalized by ``numeric_spectrum(lorentzian_operator(K))``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .chain_complex import (
     _BuiltOnFirstRead,
     _finite,
     _frozen,
+    _gap,
     _kept,
     _ReadOnlyState,
     check_coupling,
@@ -53,6 +54,9 @@ ZERO_MODE_RTOL = 1e-9
 
 #: Relative gap below which neighbouring eigenvalues share a degeneracy group.
 DEGENERACY_RTOL = 1e-9
+
+#: Distance from +-1 within which an eigenvalue of the rail swap on an eigenspace tags its vector's parity.
+PARITY_ATOL = 1e-6
 
 
 class _LazyFields(_ReadOnlyState):
@@ -144,10 +148,11 @@ def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(check_symmetric(check_square(np.asarray(K, dtype=float))))
 
 
-def _mode_tags(vals: np.ndarray, modes: np.ndarray, beta, continued: bool) -> tuple:
-    """A closed-form or continued spectrum's arrays, vals[i] the eigenvalue of mode modes[i] of
-    ladder_eigenvalues: sorted stably by eigenvalue, with every tag from the mode indices and none
-    from a threshold."""
+def _mode_tags(modes: np.ndarray, beta, continued: bool) -> tuple:
+    """A closed-form or continued spectrum's arrays: beta times each mode's unit eigenvalue from
+    ladder_eigenvalues, sorted stably from the order of ``modes``, with every tag from the mode indices
+    and none from a threshold."""
+    vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(modes.size, continued)[modes])
     order = np.argsort(vals, kind="stable")
     basis = LadderBasis(modes[order])
     n = modes.size
@@ -171,22 +176,17 @@ def _from_modes(tags: tuple, beta, regime) -> Spectrum:
     return spectrum
 
 
-def _closed_form_tags(n: int, beta) -> tuple:
-    vals = _finite("closed-form spectrum", lambda: beta * ladder_eigenvalues(n))
-    return _mode_tags(vals, np.arange(n), beta, continued=False)
-
-
 def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
     """The exact eigensystem of the degree-1 ladder operator.
 
-    Eigenvalues are beta (lam_j -+ 1) as in the module docstring;
+    Eigenvalues are 4 beta s_j^2 and beta (2 + 4 s_j^2) as in the module docstring;
     eigenvectors come out orthonormal by construction, on first read.
     The spectra of one (N, beta) share its kept eigenvalues, tags and basis.  A real beta
     is keyed by type and repr, so 0, 0.0 and -0.0 are three keys; any other is built per call.
     """
     n = check_n(n_vertices)
     beta = check_coupling(beta)
-    build = partial(_closed_form_tags, n, beta)
+    build = partial(_mode_tags, np.arange(n), beta, False)
     key = (type(beta), repr(beta))
     tags = _kept(n, "closed form", build, key) if isinstance(beta, Real) else build()
     return _from_modes(tags, beta, "euclidean")
@@ -241,7 +241,7 @@ def numeric_spectrum(K) -> Spectrum:
     parity: list[str | None] = [None] * n
     if n >= 4 and n % 2 == 0:
         swap = np.roll(np.arange(n), n // 2)  # the rail swap by index: row i of swap @ K is K[swap[i]]
-        if np.allclose(K[swap][:, swap], K, rtol=0.0, atol=1e-12 * max(np.max(np.abs(K)), 1.0)):
+        if _gap(K, K[swap][:, swap])[1]:
             for idx in _degeneracy_groups(vals):
                 V = vecs[:, idx]
                 # The swap restricted to an eigenspace is an involution;
@@ -249,9 +249,9 @@ def numeric_spectrum(K) -> Spectrum:
                 w, R = np.linalg.eigh(np.ascontiguousarray(V[swap].T) @ V)
                 vecs[:, idx] = V @ R
                 for pos, wi in zip(idx, w):
-                    if abs(wi - 1.0) < 1e-6:
+                    if abs(wi - 1.0) < PARITY_ATOL:
                         parity[pos] = SYMMETRIC
-                    elif abs(wi + 1.0) < 1e-6:
+                    elif abs(wi + 1.0) < PARITY_ATOL:
                         parity[pos] = ANTISYMMETRIC
 
     vals = _frozen(vals)  # a builder that is a partial of a module-level function pickles unread
@@ -260,25 +260,24 @@ def numeric_spectrum(K) -> Spectrum:
 
 
 def continue_to_lorentzian(spectrum: Spectrum, n_vertices: int) -> Spectrum:
-    """Continue a closed-form ladder spectrum: antisymmetric eigenvalues drop by 4 beta.
+    """Continue a closed-form ladder spectrum: beta times the continued unit eigenvalues of its modes.
 
-    The parent is one from ladder_spectrum_closed_form or an earlier
-    continuation, and the continuation takes its tags from the mode indices;
-    for N divisible by 4 the antisymmetric mode at j = N/4 becomes a second
-    null direction and the result reports itself singular.  Any other
-    spectrum (from numeric_spectrum, this constructor or
-    ``dataclasses.replace``) is refused with ValueError: its continued
-    counterpart is ``numeric_spectrum(lorentzian_operator(K))``.
+    The parent is one from ladder_spectrum_closed_form, and the continuation
+    takes its tags from the mode indices; for N divisible by 4 the
+    antisymmetric mode at j = N/4 becomes a second null direction and the
+    result reports itself singular.  Any other spectrum (a continued one, or
+    one from numeric_spectrum, this constructor or ``dataclasses.replace``)
+    is refused with ValueError: its continued counterpart is
+    ``numeric_spectrum(lorentzian_operator(K))``.
     """
     basis = getattr(spectrum, "_basis", None)
-    if basis is None:
-        raise ValueError("only a closed-form ladder spectrum can be continued; "
+    if basis is None or spectrum.regime != "euclidean":
+        raise ValueError("only a Euclidean closed-form ladder spectrum can be continued; "
                          "for any other, take numeric_spectrum(lorentzian_operator(K))")
     if spectrum.n_modes != n_vertices:
         raise ValueError(f"spectrum has {spectrum.n_modes} modes but n_vertices is {n_vertices}")
-    # odd modes are the antisymmetric ones; sorted from the parent's order, tied values keep their columns
-    vals = spectrum.eigenvalues - np.where(basis.modes % 2, 4.0 * spectrum.beta, 0.0)
-    return _from_modes(_mode_tags(vals, basis.modes, spectrum.beta, True), spectrum.beta, "lorentzian")
+    # sorted from the parent's order, tied values keep their columns
+    return _from_modes(_mode_tags(basis.modes, spectrum.beta, True), spectrum.beta, "lorentzian")
 
 
 def _project(spectrum: Spectrum, x: np.ndarray, signed: bool) -> np.ndarray:

@@ -19,14 +19,14 @@ pieces, Phi = (Phi_S + Phi_T + Phi_ST) / (2 hbar beta), with
 
 with j, k running 1 .. N/2 - 1 (k to N/2 in the spatial sum), eL / eR
 the left / right rail temporal links and ex the rungs.  The mixed
-denominators d_j are half the antisymmetric unit eigenvalues, which
-_ladder_transform holds: d_j = 2 - cos(2 pi j / N) in the Euclidean
-regime, where Phi_S takes the plus sign.  The Lorentzian continuation
-flips the Phi_S sign and shifts each eigenvalue by -4, so d_j becomes
--cos(2 pi j / N), which vanishes at j = N/4.  For N divisible by 4 that
-mode is a genuine second null direction: a configuration exciting it
-has no finite phase, and this module raises GaugeObstruction for it,
-by the row-space rule on |J|, which Parseval gives from the split's own sums.
+denominators d_j are half the antisymmetric unit eigenvalues of the
+regime, which _ladder_transform holds, and Phi_S is divided by d_0:
+d_j = 1 + 2 sin^2(pi j / N) in the Euclidean regime (d_0 = 1), and
+d_j = sin((4j - N) pi / 2N) continued (d_0 = -1), which is exactly 0
+at j = N/4.  For N divisible by 4 that mode is a genuine second null
+direction: a configuration exciting it has no finite phase, and this
+module raises GaugeObstruction for it, by the row-space rule on |J|,
+which Parseval gives from the split's own sums.
 
 A twin-slit pair is two such ladders sharing every temporal link value
 (e_T on all rails) and differing only in a uniform spatial value (e_x
@@ -206,7 +206,9 @@ def phase_decomposition(
 
     def terms():
         continued = regime == LORENTZIAN
-        phi_spatial = (-1.0 if continued else 1.0) * (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2
+        # the antisymmetric modes of the unit spectrum in that regime, halved: +-1 at j = 0, then d_j
+        halved = ladder_eigenvalues(n, continued)[1::2] / 2.0
+        phi_spatial = (2.0 * alpha**2 / n) * float(np.sum(e_spatial)) ** 2 / float(halved[0])
 
         j = np.arange(1, half)
         # the interior sine sums of the rail sum and difference, and the rungs' cosine sums, per mode j
@@ -217,8 +219,6 @@ def phase_decomposition(
         sines = np.sin(j * np.pi / n)
         numerators = sines * rail_diff + rung_cos
 
-        # the antisymmetric modes 2j + 1 of the unit spectrum, continued at beta = 1 in that regime
-        denominators = (ladder_eigenvalues(n)[3::2] - 4.0 * continued) / 2.0
         null = [m // 2 - 1 for m in zero_modes(n, continued) if m % 2]  # the place of j = N/4, when 4 | N
         keep = np.ones(j.size, dtype=bool)
         keep[null] = False
@@ -232,7 +232,7 @@ def phase_decomposition(
                                        f"mode j={j[i]} leaves the phase undefined", mode_index=int(j[i]))
 
         phi_mixed = float(
-            np.sum((4.0 * alpha**2 / n) * numerators[keep] ** 2 / denominators[keep])
+            np.sum((4.0 * alpha**2 / n) * numerators[keep] ** 2 / halved[1:][keep])
         )
         total = (phi_spatial + phi_temporal + phi_mixed) / (2.0 * hbar * beta)
         return phi_spatial, phi_temporal, phi_mixed, total
@@ -433,9 +433,9 @@ def _rung_values(n: int, l1: float, l2: float, lam: float) -> tuple[float, float
 
 
 def _check_wavelength(lam) -> None:
-    """ValueError unless the wavelength is a positive number (NaN is not)."""
-    if not lam > 0:
-        raise ValueError(f"wavelength must be positive, got {lam}")
+    """ValueError unless the wavelength is a positive finite number (NaN is not)."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"wavelength must be a positive finite number, got {lam}")
 
 
 def _fringe_sweep(n_vertices, d: float, L: float, wavelength: float, ys):
@@ -471,7 +471,7 @@ def _fringe_sweep(n_vertices, d: float, L: float, wavelength: float, ys):
 
 def nrqm_intensity(path_diff: float, wavelength: float) -> float:
     """Two-beam reference intensity 2 + 2 cos(2 pi path_diff / wavelength), for a finite path difference,
-    a positive wavelength and a phase within the float range."""
+    a positive finite wavelength and a phase within the float range."""
     _check_wavelength(wavelength)
     if not math.isfinite(path_diff):
         raise ValueError(f"path difference must be finite, got {path_diff}")
@@ -490,7 +490,7 @@ def nrqm_maximum_position(
     as foci; this is its intersection with the screen.  Positive orders
     land at negative y with slit 1 on the positive side.  The order must be
     an integer, |order| is limited by the slit separation, the separation
-    and screen distance must be finite, and the wavelength positive.
+    and screen distance must be finite, and the wavelength positive and finite.
     """
     _check_wavelength(wavelength)
     if not (math.isfinite(slit_separation) and math.isfinite(screen_distance)):

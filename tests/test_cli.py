@@ -514,11 +514,11 @@ def test_partition_oracles_at_restricted_dimension_zero(tmp_path):
 @pytest.mark.parametrize(
     "d, L, lam, message",
     [
-        ("10", "1000", "inf", "lambda_hat=inf gives"),
         ("10", "1000", "1e-200", "lambda_hat=1e-200 gives"),
         ("10", "1000", "1e200", "lambda_hat=1e+200 gives"),
-        # NaN is not a positive wavelength: refused before the calibration
-        ("10", "1000", "nan", "wavelength must be positive, got nan"),
+        # neither NaN nor inf is a positive finite wavelength: refused before the calibration
+        ("10", "1000", "inf", "wavelength must be a positive finite number, got inf"),
+        ("10", "1000", "nan", "wavelength must be a positive finite number, got nan"),
         ("nan", "1000", "2", "path lengths must be finite, got nan and nan"),
         # a row that fails two checks is refused on the first: its path lengths
         ("nan", "1000", "inf", "path lengths must be finite, got nan and nan"),

@@ -442,11 +442,13 @@ WAVELENGTH_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("lam", [0.0, -0.0, -2.0, math.nan, -math.inf])
+@pytest.mark.parametrize("lam", [0.0, -0.0, -2.0, math.nan, -math.inf, math.inf])
 @pytest.mark.parametrize("entry", sorted(WAVELENGTH_ENTRY_POINTS))
 def test_wavelength_entry_points_refuse_a_wavelength_that_is_not_positive(entry, lam):
-    # a NaN wavelength once gave NaN rung values, a zero one a ZeroDivisionError or -0.0
-    with pytest.raises(ValueError, match=f"^{re.escape(f'wavelength must be positive, got {lam}')}$"):
+    # a NaN wavelength once gave NaN rung values, a zero one a ZeroDivisionError or -0.0,
+    # an infinite one rung values (0.0, 0.0) and a flat intensity of 4.0
+    message = f"wavelength must be a positive finite number, got {lam}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         WAVELENGTH_ENTRY_POINTS[entry](lam)
 
 

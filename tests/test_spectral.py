@@ -145,7 +145,7 @@ def test_numeric_spectrum_rejects_asymmetric():
         numeric_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("n", [6, 8, 14, 40])
+@pytest.mark.parametrize("n", [6, 8, 14, 40, 400])
 def test_numeric_spectrum_refines_parity(n):
     s = numeric_spectrum(dense_operator(n))
     closed = ladder_spectrum_closed_form(n)
@@ -269,11 +269,13 @@ def test_continuation_requires_parity_tags():
     lambda n: numeric_spectrum(dense_operator(n)),
     lambda n: replace(ladder_spectrum_closed_form(n)),
     lambda n: replace(continue_to_lorentzian(ladder_spectrum_closed_form(n), n)),
-], ids=["numeric", "replaced_closed_form", "replaced_continuation"])
+    lambda n: continue_to_lorentzian(ladder_spectrum_closed_form(n), n),
+], ids=["numeric", "replaced_closed_form", "replaced_continuation", "continuation"])
 def test_only_a_closed_form_spectrum_is_continued(make):
-    # every tag is set on these, but none keeps the basis whose mode indices give each parity
+    # every tag is set on these, but none is Euclidean and keeps the basis whose mode indices give each parity;
+    # continuing a continuation again would tag its -4 beta mode as a zero mode at N = 8
     n = 8
-    message = ("only a closed-form ladder spectrum can be continued; "
+    message = ("only a Euclidean closed-form ladder spectrum can be continued; "
                "for any other, take numeric_spectrum(lorentzian_operator(K))")
     s = make(n)
     assert None not in s.parity
@@ -324,33 +326,35 @@ def test_column_signs_are_bitwise_the_per_column_loop(monkeypatch, six_columns):
         assert_array_equal(block * column_signs(n), fixed)
 
 
-def _reference_closed_form(n, beta):
-    """The per-mode construction of the closed form, with its own sort and sign rule.
+def _unit_eigenvalues(n, j, continued):
+    """Mode j's symmetric and antisymmetric unit eigenvalues, each formed without cancellation."""
+    sym = 4.0 * np.sin(np.pi * j / n) ** 2
+    return sym, 2.0 * np.sin((4 * j - n) * np.pi / (2 * n)) if continued else 2.0 + sym
+
+
+def _reference_closed_form(n, beta, continued=False):
+    """The per-mode construction of the closed form or its continuation, with its own sort and sign rule.
 
     Kept as the reference the vectorized builder must reproduce bit for
-    bit: modes in j order, symmetric before antisymmetric, then the
-    loop-built bookkeeping.
+    bit: modes in j order, symmetric before antisymmetric, put in the
+    Euclidean spectrum's order (a continuation sorts from its parent's, so
+    tied values keep their columns), then the loop-built bookkeeping.
     """
     half = n // 2
-    vals, cols, parity = [], [], []
+    vals, parent, cols, parity = [], [], [], []
     for j in range(half):
-        lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
         if j == 0:
             x = np.full(half, np.sqrt(1.0 / n))
         else:
             k = np.arange(1, half + 1)
             x = np.sqrt(2.0 / n) * np.cos(j * (2 * k - 1) * np.pi / n)
-        vals += [beta * (lam - 1.0), beta * (lam + 1.0)]
+        vals += [beta * v for v in _unit_eigenvalues(n, j, continued)]
+        parent += [beta * v for v in _unit_eigenvalues(n, j, False)]
         cols += [np.concatenate([x, x]), np.concatenate([x, -x])]
         parity += ["symmetric", "antisymmetric"]
-    return _reference_bookkeeping(vals, np.column_stack(cols), parity)
-
-
-def _reference_continued(reference, beta):
-    """Antisymmetric eigenvalues of a sorted reference spectrum moved down by 4 beta, re-sorted."""
-    vals, vecs, parity = reference[:3]
-    shifted = [v - 4.0 * beta if p == "antisymmetric" else v for v, p in zip(vals, parity)]
-    return _reference_bookkeeping(shifted, vecs, parity)
+    order = np.argsort(parent, kind="stable")
+    return _reference_bookkeeping(np.array(vals)[order], np.column_stack(cols)[:, order],
+                                  [parity[i] for i in order])
 
 
 def _assert_spectrum_is(s, reference):
@@ -369,21 +373,19 @@ def _assert_spectrum_is(s, reference):
 @pytest.mark.parametrize("beta", [1, 2.5, -2])
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 130, 512])
 def test_closed_form_is_bitwise_the_per_mode_construction(n, beta):
-    reference = _reference_closed_form(n, beta)
     s = ladder_spectrum_closed_form(n, beta=beta)
-    _assert_spectrum_is(s, reference)
-    _assert_spectrum_is(continue_to_lorentzian(s, n), _reference_continued(reference, beta))
+    _assert_spectrum_is(s, _reference_closed_form(n, beta))
+    _assert_spectrum_is(continue_to_lorentzian(s, n), _reference_closed_form(n, beta, continued=True))
 
 
-def _eager_closed_form(n, beta):
-    """The closed form as built when every field was eager: the vectorized
-    vectors at once, then the loop-built bookkeeping."""
+def _eager_closed_form(n, beta, continued=False):
+    """The closed form or its continuation as built when every field was eager: the vectorized
+    vectors at once, put in the Euclidean spectrum's order, then the loop-built bookkeeping."""
     half = n // 2
     j = np.arange(half)
-    lam = 3.0 - 2.0 * np.cos(2.0 * np.pi * j / n)
-    vals = np.empty(n)
-    vals[0::2] = beta * (lam - 1.0)
-    vals[1::2] = beta * (lam + 1.0)
+    vals, parent = np.empty(n), np.empty(n)
+    vals[0::2], vals[1::2] = (beta * v for v in _unit_eigenvalues(n, j, continued))
+    parent[0::2], parent[1::2] = (beta * v for v in _unit_eigenvalues(n, j, False))
     vecs = np.empty((n, n))
     x = vecs[:half, 0::2]
     np.multiply(np.sqrt(2.0 / n), np.cos(np.outer(2 * j + 1, j) * np.pi / n), out=x)
@@ -394,17 +396,17 @@ def _eager_closed_form(n, beta):
     vecs[half:, 0::2] = x
     vecs[:half, 1::2] = x
     np.negative(x, out=vecs[half:, 1::2])
-    return _reference_bookkeeping(vals, vecs, ["symmetric", "antisymmetric"] * half)
+    order = np.argsort(parent, kind="stable")
+    return _reference_bookkeeping(vals[order], vecs[:, order], [("symmetric", "antisymmetric")[i % 2] for i in order])
 
 
 @pytest.mark.parametrize("beta", [1, 2.5, 3, -2, 0])
 def test_lazy_fields_are_bitwise_the_eager_construction(beta):
     for n in [*range(4, 513, 2), 1024]:
-        reference = _eager_closed_form(n, beta)
         s = ladder_spectrum_closed_form(n, beta=beta)
         continued = continue_to_lorentzian(s, n)
         # the continuation is read first: it builds its vectors from its own basis
-        for spectrum, want in ((continued, _reference_continued(reference, beta)), (s, reference)):
+        for spectrum, want in ((continued, _eager_closed_form(n, beta, True)), (s, _eager_closed_form(n, beta))):
             if n <= 400:  # the index tags are the thresholds' on these eigenvalues
                 assert spectrum.zero_modes == _zero_mode_indices(spectrum.eigenvalues)
                 assert spectrum.degeneracy_groups == _degeneracy_groups(spectrum.eigenvalues)
