@@ -14,17 +14,18 @@ which is what ``verify_scc`` checks -- in integer arithmetic whenever
 the inputs allow it.  K always annihilates the constant vector, and
 any J produced this way sums to zero (a divergence-free source).
 
-An SccSystem from build_system keeps K as those nonzeros, and
-``verify_scc`` reads only them; the dense N x N K is built on its first
-read.  A system given a dense K derives its nonzeros from that K.  On a
-ladder complex the unit-coupling d @ d.T comes from the ladder table, so
-each call only scales its values by beta.
+An SccSystem holds K one way, as those nonzeros, made on their first read:
+``size``, ``verify_scc`` and the dense N x N K read them.  The Z, the
+classical solution and the oracles read only J, so a system that reaches
+only them builds no operator.  A system given a dense K derives its
+nonzeros from that K.  On a ladder complex the unit-coupling d @ d.T comes
+from the ladder table, so each build only scales its values by beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -56,10 +57,25 @@ def _select_boundary(c: ChainComplex, n: int) -> _Nonzeros:
     return c.nonzeros[n - 1]
 
 
+class _DenseOperator(_BuiltOnFirstRead):
+    """K: the dense matrix given, or else, on its first read, the dense matrix of the nonzeros."""
+
+    def __get__(self, instance, owner=None):
+        if instance is not None and callable(instance.__dict__["K"]):
+            instance.__dict__["K"] = instance._nonzeros()
+        return super().__get__(instance, owner)
+
+
 class _LazyArrays(_ReadOnlyState):
     # declared on a private base, so vars(SccSystem) lists no descriptor
-    K = _BuiltOnFirstRead()
+    K = _DenseOperator()
     boundary = _BuiltOnFirstRead()
+
+    @cached_property
+    def _nonzeros(self) -> _Nonzeros:
+        """K's nonzeros: from build_system's builder of them, or from the dense K given."""
+        K = vars(self)["K"]
+        return K() if callable(K) else _Nonzeros.of(check_square(np.asarray(K)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +84,13 @@ class SccSystem(_LazyArrays):
 
     alpha scales the source (units of momentum), beta the operator
     (momentum per length), hbar the action quantum used by phase code.
-    ``K`` and ``boundary`` each take the dense matrix or a zero-argument
-    builder of it, run on the first read.  build_system passes K's nonzeros,
-    which ``verify_scc`` reads in its place, and a builder of the complex's
-    own dense boundary.  A system given a dense K, by this constructor or
-    ``dataclasses.replace``, is checked on the nonzeros of that K.  ``repr``
-    leaves both out, and ``==`` is identity, so neither builds them.
+    ``K`` takes the dense matrix, or build_system's zero-argument builder of
+    its nonzeros; ``boundary`` the dense matrix or a zero-argument builder of
+    it.  Each builder runs on the first read.  ``size``, ``verify_scc`` and
+    the dense ``K`` read K's nonzeros, which a system given a dense K, by
+    this constructor or ``dataclasses.replace``, derives from that K.
+    ``repr`` leaves K and the boundary out, and ``==`` is identity, so
+    neither builds them.
     """
 
     n: int
@@ -84,13 +101,9 @@ class SccSystem(_LazyArrays):
     J: np.ndarray
     boundary: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        K = vars(self)["K"]
-        vars(self)["_nonzeros"] = K if isinstance(K, _Nonzeros) else None
-
     @property
     def size(self) -> int:
-        return (self.K if self._nonzeros is None else self._nonzeros).shape[0]
+        return self._nonzeros.shape[0]
 
 
 def _operator(c: ChainComplex, n: int, beta: float) -> _Nonzeros:
@@ -133,13 +146,14 @@ def build_system(
     beta: float = 1.0,
     hbar: float = 1.0,
 ) -> SccSystem:
-    """Bundle operator and source built from one complex and one cell assignment."""
+    """Bundle operator and source built from one complex and one cell assignment.  The operator's
+    nonzeros are made on their first read, which refuses an int64 or float overflow of beta * d @ d.T."""
     return SccSystem(
         n=n,
         alpha=alpha,
         beta=beta,
         hbar=hbar,
-        K=_operator(c, n, beta),
+        K=partial(_operator, c, n, check_coupling(beta)),
         J=build_source(c, n, cell_values, alpha),
         boundary=partial(getattr, c, f"d{n}"),
     )
@@ -180,8 +194,6 @@ def verify_scc(system: SccSystem, vertex_values) -> SccReport:
         raise ValueError(f"vertex values have shape {v.shape}, expected ({system.size},)")
 
     K = system._nonzeros
-    if K is None:
-        K = _Nonzeros.of(check_square(np.asarray(system.K)))
     J = system.J
     exact = _exact_route(system.alpha, v, K) and _exact_route(system.beta, J)
     if not exact:

@@ -125,16 +125,7 @@ class TwinSlitConfig:
             representable = False
         if not representable:
             raise ValueError(f"lambda_hat={lambda_hat} gives a zero or non-finite alpha, beta or alpha^2")
-        return cls(
-            n_vertices=n_vertices,
-            e_x=e_x,
-            e_x_alt=e_x_alt,
-            e_T=e_T,
-            alpha=alpha,
-            beta=beta,
-            hbar=hbar,
-            lambda_hat=lambda_hat,
-        )
+        return cls(n_vertices, e_x, e_x_alt, e_T, alpha, beta, hbar, lambda_hat)
 
 
 def split_links(link_values, n_vertices: int):
@@ -249,10 +240,12 @@ class TrigIdentityReport:
     """Worst errors of the identities underlying the phase split.
 
     sine_sum: sum_{k=1}^{N/2-1} sin(2 pi j k / N) equals 0 for even j
-    and cot(j pi / N) for odd j.  cot_square: sum_{k=1}^{n}
-    cot^2((pi/2)(2k-1)/(2n)) = 2 n^2 - n.  composite: summing the
-    squared odd-j sine sums gives ((N-2)/4)(N/2).  Each error is taken
-    relative to max(1, |identity value|), as the cot^2 sum grows as 2 n^2.
+    and cot(j pi / N) for odd j.  cot_square: the squares of those
+    cotangents, the sum the split uses, give sum over odd j < N/2 of
+    cot^2(j pi / N) = N (N - 2) / 8 (for N = 4n, 2 n^2 - n).  composite:
+    summing the squared sine sums gives the same ((N-2)/4)(N/2).  Each
+    error is taken relative to max(1, |identity value|), as both sums grow
+    as N^2 / 8.
     """
 
     n_vertices: int
@@ -283,12 +276,7 @@ def trig_lemmas(n_vertices: int) -> TrigIdentityReport:
     expected = np.where(j % 2, 1.0 / np.tan(j * np.pi / n), 0.0)
     sine_err = float(np.max(_relative_error(direct, expected), initial=0.0))
     composite_err = float(_relative_error(float(np.sum(direct**2)), ((n - 2) / 4.0) * (n / 2.0)))
-
-    cot_err = 0.0
-    for m in range(1, half + 1):
-        kk = np.arange(1, m + 1)
-        direct = float(np.sum(1.0 / np.tan((math.pi / 2.0) * (2 * kk - 1) / (2 * m)) ** 2))
-        cot_err = max(cot_err, float(_relative_error(direct, 2.0 * m * m - m)))
+    cot_err = float(_relative_error(float(np.sum(expected**2)), n * (n - 2) / 8.0))
 
     return TrigIdentityReport(
         n_vertices=n,
@@ -367,11 +355,7 @@ def interference_phase_difference(config: TwinSlitConfig) -> float:
     check_finite(np.asarray((config.e_x, config.e_x_alt)), "rung values")
     n = config.n_vertices
     return _finite("interference phase difference", lambda: (
-        n
-        * config.alpha**2
-        * (config.e_x**2 - config.e_x_alt**2)
-        / (4.0 * config.hbar * config.beta)
-    ))
+        n * config.alpha**2 * (config.e_x**2 - config.e_x_alt**2) / (4.0 * config.hbar * config.beta)))
 
 
 def interference_order(config: TwinSlitConfig) -> float:

@@ -4,6 +4,7 @@ import io
 import contextlib
 import importlib.metadata
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -500,6 +501,48 @@ def test_non_finite_coupling_is_an_error(argv, shown):
     rc, out, err = run(*argv)
     name = "alpha" if "--alpha" in argv else "beta"
     assert (rc, out, err) == (1, "", f"error: coupling {name} must be finite, got {shown}\n")
+
+
+def test_partition_reads_no_operator_so_only_the_spectrum_bounds_beta():
+    # beta = 2**62 would overflow an int64 K, which partition never builds; scc still refuses it
+    rc, out, _ = run("partition", "--source", "preset:twin6", "--beta", str(2**62))
+    assert rc == 0 and body(out)[1].endswith(",5")
+    rc, _, err = run("scc", "--from-vertices", "preset:twin6", "--beta", str(2**62))
+    assert rc == 1 and err.startswith("error: integer arithmetic would overflow int64")
+    rc, out, err = run("partition", "--source", "preset:twin6", "--beta", "1e308")
+    assert (rc, out) == (1, "")
+    assert err == "error: closed-form spectrum is not finite: the inputs overflow the float range\n"
+
+
+@pytest.mark.parametrize(
+    "contents, argv, message",
+    [
+        ("# only a comment\n", ("partition", "--source", "{path}"), "no values found in {path}"),
+        (None, ("partition", "--source", "preset:nope"), "unknown preset 'nope'"),
+        (None, ("partition", "--source", "preset:twin6", "--n", "8"), "preset 'twin6' fixes N=6, got --n 8"),
+        ("1\n2\n3\n4\n5\n", ("partition", "--source", "{path}"), "5 link values do not fit any ladder graph"),
+        ("1\n2\n3\n4\n5\n6\n7\n", ("partition", "--source", "{path}", "--n", "8"),
+         "--n 8 does not match 7 link values (N=6)"),
+        (None, ("twinslit", "--n", "8", "--d", "4", "--L", "500", "--lambda", "1", "--y-range=0:1:0"),
+         "steps must be >= 1"),
+    ],
+    ids=["comments-only", "unknown-preset", "preset-size", "no-ladder", "size-mismatch", "zero-steps"],
+)
+def test_cli_refusals_name_the_input(tmp_path, contents, argv, message):
+    path = tmp_path / "values.txt"
+    if contents is not None:
+        path.write_text(contents)
+    rc, out, err = run(*(arg.format(path=path) for arg in argv))
+    assert (rc, out, err) == (1, "", f"error: {message.format(path=path)}\n")
+
+
+def test_plot_script_refused_for_a_csv_with_no_header_row(tmp_path):
+    from ladderfield.cli import emit_plot_script
+
+    target = tmp_path / "empty.csv"
+    target.write_text("# version=0.1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(target))} contains no header row$"):
+        emit_plot_script(target)
 
 
 def test_partition_oracles_at_restricted_dimension_zero(tmp_path):

@@ -28,7 +28,7 @@ from ladderfield.chain_complex import (
     validate_complex,
 )
 from ladderfield.errors import SccViolation
-from ladderfield.partition import classical_solution, euclidean_Z
+from ladderfield.partition import brute_force_Z, classical_solution, euclidean_Z, outcome_probability
 from ladderfield.scc import (
     build_operator,
     build_source,
@@ -561,13 +561,84 @@ def test_each_call_returns_a_fresh_system_whose_dense_K_is_its_own():
     assert s2.K is not s1.K
 
 
-def test_a_warm_ladder_system_only_scales_the_kept_operator(monkeypatch):
+def _count_products(monkeypatch):
     calls = []
     product = scc._product
     monkeypatch.setattr(scc, "_product", lambda *args: calls.append(args) or product(*args))
+    return calls
+
+
+def test_a_warm_ladder_system_only_scales_the_kept_operator(monkeypatch):
+    calls = _count_products(monkeypatch)
     c = build_chain_complex(10)
     e = gradient_link_values(c, np.arange(10))
     for degree in (1, 2):
         for beta in (3, -2.5, 3, 0.0):
-            build_system(c, degree, e if degree == 1 else np.arange(4), beta=beta)
+            build_system(c, degree, e if degree == 1 else np.arange(4), beta=beta).K
     assert len(calls) == 2  # one unit-coupling operator per boundary, built on its first use
+
+
+# --- the J-only path: Z, the classical solution and the oracles build no operator ----
+
+
+@pytest.mark.parametrize("beta", [3, 1.5])
+def test_the_j_only_path_builds_no_operator(monkeypatch, beta):
+    _ladder_table.cache_clear()  # a cold table: a first operator would sum its gram here
+    calls = _count_products(monkeypatch)
+    c = build_chain_complex(6)
+    system = build_system(c, 1, gradient_link_values(c, np.arange(6) % 4), alpha=2, beta=beta)
+    spectrum = ladder_spectrum_closed_form(6, beta)
+    euclidean_Z(system, spectrum), classical_solution(system, spectrum)
+    brute_force_Z(system, spectrum, method="quadrature", budget=4000)
+    brute_force_Z(system, spectrum, method="mc", budget=200, seed=1)
+    outcome_probability(system, spectrum, 1, 0.5)
+    assert calls == [] and "_nonzeros" not in vars(system) and callable(vars(system)["K"])
+    # the first read makes the nonzeros once, and the dense K reads them
+    assert system.size == 6 and len(calls) == 1
+    nonzeros = system._nonzeros
+    assert_bitwise(system.K, build_operator(c, 1, beta))
+    assert system._nonzeros is nonzeros and len(calls) == 1
+
+
+def test_an_operator_past_int64_is_refused_where_it_is_read():
+    c = build_chain_complex(4)
+    v = np.arange(4)
+    system = build_system(c, 1, gradient_link_values(c, v), beta=2**62)
+    for read in (lambda: system.K, lambda: system.size, lambda: verify_scc(system, v)):
+        with pytest.raises(ValueError, match="^integer arithmetic would overflow int64"):
+            read()
+    system = build_system(c, 1, gradient_link_values(c, v), beta=1e308)
+    with pytest.raises(ValueError, match=r"^operator beta \* d @ d.T is not finite"):
+        system.K
+
+
+def _swap_rails(e, n):
+    """The link values of the ladder with its rails exchanged: rail links swap, rungs reverse."""
+    rail = n // 2 - 1
+    return np.concatenate((e[rail : 2 * rail], e[:rail], -e[2 * rail :]))
+
+
+@pytest.mark.parametrize("n", [4, 400, 10**5, 10**6])
+def test_exact_relations_of_z_and_the_phase_hold_bitwise(monkeypatch, n):
+    calls = _count_products(monkeypatch)
+    rng = np.random.default_rng(n)
+    c = build_chain_complex(n)
+    e = rng.integers(-9, 10, size=3 * n // 2 - 2)
+    spectrum = ladder_spectrum_closed_form(n, 1.5)
+    z = lambda links, alpha=0.75: euclidean_Z(build_system(c, 1, links, alpha=alpha, beta=1.5), spectrum)
+    tracemalloc.start()
+    try:
+        base = z(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rail swap is a symmetry of the ladder: every mode keeps its square
+    assert z(_swap_rails(e, n)) == base
+    assert phase_decomposition(_swap_rails(e, n), n, 0.75, 1.0, 1.5) == phase_decomposition(e, n, 0.75, 1.0, 1.5)
+    # J is linear in alpha, so doubling it scales each squared projection by exactly 4
+    assert z(e, alpha=1.5).exponent_term == 4 * base.exponent_term
+    # d1 @ d2 == 0: a plaquette boundary added to the links leaves J, and so Z, as it was
+    curl = build_source(c, 2, rng.integers(-9, 10, size=n // 2 - 1), 1)
+    assert z(e + curl) == base
+    assert calls == []
+    assert peak < 120e6
