@@ -37,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -120,15 +120,17 @@ def _is_integer(value) -> bool:
 
 
 def check_coupling(value, name="beta"):
-    """The coupling ``name`` unchanged; ValueError unless it is a finite number."""
+    """The coupling ``name`` unchanged; ValueError unless it is a finite real number."""
+    if not isinstance(value, Real):
+        raise ValueError(f"coupling {name} must be a real number, got {value!r}")
     if not isinstance(value, Integral) and not math.isfinite(value):
         raise ValueError(f"coupling {name} must be finite, got {value!r}")
     return value
 
 
 def check_finite(a, what: str):
-    """``a`` unchanged, dtype included; ValueError unless every entry is finite."""
-    if a.dtype == object:  # numpy's array of integers past int64
+    """``a`` unchanged, dtype included; ValueError unless it holds bools, integers or floats, all finite."""
+    if a.dtype.kind not in "biuf":  # complex, text, or numpy's object array of integers past int64
         raise ValueError(f"{what} must be floats or integers within the int64 range (|x| < 2**63)")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
@@ -137,11 +139,11 @@ def check_finite(a, what: str):
 
 def check_array(x, shape: tuple, what: str, dtype=None) -> np.ndarray:
     """``np.asarray(x, dtype)``, the array ``what`` of a fixed shape; ValueError unless it has ``shape``
-    (``<what> have shape S, expected T``) and finite entries (check_finite)."""
-    a = np.asarray(x, dtype)
+    (``<what> have shape S, expected T``) and finite real entries (check_finite, before the cast)."""
+    a = np.asarray(x)
     if a.shape != shape:
         raise ValueError(f"{what} have shape {a.shape}, expected {shape}")
-    return check_finite(a, what)
+    return np.asarray(check_finite(a, what), dtype)
 
 
 def check_square(a: np.ndarray) -> np.ndarray:
@@ -160,7 +162,7 @@ def _gap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_symmetric(a) -> np.ndarray:
     """``a`` as floats; ValueError unless each matrix ``a[..., :, :]`` is finite and symmetric by _gap."""
-    a = check_finite(np.asarray(a, dtype=float), "matrix entries")
+    a = np.asarray(check_finite(np.asarray(a), "matrix entries"), dtype=float)
     asym, symmetric = _gap(a, np.swapaxes(a, -1, -2))
     if not np.all(symmetric):
         raise ValueError(f"matrix is not symmetric (max asymmetry {np.max(asym):.3e})")
@@ -309,26 +311,31 @@ class _LazyGraph(_ReadOnlyState):
 
 @dataclass(frozen=True)
 class LadderGraph(_LazyGraph):
-    """A ladder graph with 1-based vertex ids and rail-major link order.
+    """The canonical ladder graph on N vertices, with 1-based vertex ids and rail-major link order.
 
-    ``plaquettes`` holds, per face, the four signed 1-based link indices
-    of its oriented boundary walk.  Each takes the tuple or a builder of it,
-    run on the first read.  build_ladder_graph passes builders and keeps the
-    links' (tail, head) rows, which serialize_graph formats.
+    ``plaquettes`` holds, per face, the four signed 1-based link indices of its oriented boundary
+    walk.  N decides the graph: the constructor keeps check_n's int and refuses (ValueError) links or
+    plaquettes given as other than the canonical tuples.  A builder of either, as build_ladder_graph
+    passes, runs unchecked on the first read.  ``==``, ``hash`` and ``repr`` read N alone.
     """
 
     n_vertices: int
-    links: tuple[Link, ...]
-    plaquettes: tuple[tuple[int, int, int, int], ...]
-    _ends: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    links: tuple[Link, ...] = field(repr=False, compare=False)
+    plaquettes: tuple[tuple[int, int, int, int], ...] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        n = vars(self)["n_vertices"] = check_n(self.n_vertices)
+        for name, canonical in (("links", _links), ("plaquettes", _plaquettes)):
+            if not callable(given := vars(self)[name]) and given != canonical(n):
+                raise ValueError(f"{name} do not describe the canonical ladder for N={n}")
 
     @property
     def n_links(self) -> int:
-        return len(self.links) if self._ends is None else len(self._ends)
+        return 3 * self.n_vertices // 2 - 2
 
     @property
     def n_plaquettes(self) -> int:
-        return len(self.plaquettes) if self._ends is None else self.n_vertices // 2 - 1
+        return self.n_vertices // 2 - 1
 
     @property
     def n_rungs(self) -> int:
@@ -363,26 +370,22 @@ def _signed_incidence(n_rows: int, cells: np.ndarray) -> _Nonzeros:
 
 
 def build_ladder_graph(n_vertices: int) -> LadderGraph:
-    """Construct the ladder graph on ``n_vertices`` vertices.
+    """Construct the ladder graph on ``n_vertices`` vertices, in O(1).
 
     Raises ValueError unless ``n_vertices`` is an even integer >= 4.
-    The result has 3N/2 - 2 links and N/2 - 1 plaquettes.
+    The result has 3N/2 - 2 links and N/2 - 1 plaquettes, built on first read.
     """
     n = check_n(n_vertices)
-    ends, walks = _rail_major(n)
-    graph = LadderGraph(n, partial(_links, _frozen(ends)), partial(_plaquettes, walks))
-    vars(graph)["_ends"] = ends
-    return graph
+    return LadderGraph(n, partial(_links, n), partial(_plaquettes, n))
 
 
-def _links(ends: np.ndarray) -> tuple[Link, ...]:
-    """The Links of rail-major (tail, head) rows: N - 2 rail links, then N/2 rungs."""
-    rungs = (len(ends) + 2) // 3
-    return tuple(map(Link, *ends.T.tolist(), [TEMPORAL] * (len(ends) - rungs) + [SPATIAL] * rungs))
+def _links(n: int) -> tuple[Link, ...]:
+    """The Links of the N-vertex ladder, rail-major: N - 2 rail links, then N/2 rungs."""
+    return tuple(map(Link, *_rail_major(n)[0].T.tolist(), [TEMPORAL] * (n - 2) + [SPATIAL] * (n // 2)))
 
 
-def _plaquettes(walks: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(map(tuple, walks.tolist()))
+def _plaquettes(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(map(tuple, _rail_major(n)[1].tolist()))
 
 
 def _ladder_boundaries(n: int) -> tuple[_Nonzeros, _Nonzeros]:
@@ -556,13 +559,11 @@ def _data_lines(text: str) -> list[str]:
 
 
 def serialize_graph(graph: LadderGraph) -> str:
-    """Plain-text form: a header line, then one line per link."""
-    if graph._ends is None:
-        lines = (f"link {i} {link.tail} {link.head} {link.kind}\n" for i, link in enumerate(graph.links, 1))
-    else:
-        blocks = range(0, len(graph._ends), _LINKS_PER_BLOCK)
-        lines = (_link_lines(graph._ends, first, graph.n_vertices - 2) for first in blocks)
-    return "".join([f"ladder N={graph.n_vertices}\n", *lines])
+    """Plain-text form: a header line, then one line per link, formatted from the rail-major rows."""
+    n = graph.n_vertices
+    ends = _rail_major(n)[0]
+    lines = (_link_lines(ends, first, n - 2) for first in range(0, len(ends), _LINKS_PER_BLOCK))
+    return "".join([f"ladder N={n}\n", *lines])
 
 
 def _link_lines(ends: np.ndarray, first: int, n_temporal: int) -> str:

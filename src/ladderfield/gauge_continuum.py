@@ -48,8 +48,8 @@ def _four_vector(v, name="momentum") -> np.ndarray:
 
 
 def _tensors(h) -> np.ndarray:
-    """``h`` as a float array; ValueError unless it is a 4x4 tensor or a stack h[..., 4, 4]."""
-    h = np.asarray(h, dtype=float)
+    """``h`` as an array, for its caller to check; ValueError unless it is a 4x4 tensor or a stack h[..., 4, 4]."""
+    h = np.asarray(h)
     if h.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 tensor or a stack of them, got shape {h.shape}")
     return h
@@ -57,10 +57,10 @@ def _tensors(h) -> np.ndarray:
 
 def _kernel(kernel) -> np.ndarray:
     """``kernel`` as a float array; ValueError unless it is a 2-D matrix of finite entries."""
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = np.asarray(kernel)
     if kernel.ndim != 2:
         raise ValueError(f"expected a 2-D kernel, got shape {kernel.shape}")
-    return check_finite(kernel, "kernel entries")
+    return np.asarray(check_finite(kernel, "kernel entries"), dtype=float)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,10 +174,10 @@ def _gauge_tensor(k: np.ndarray, eps: np.ndarray) -> np.ndarray:
 def output_divergence(k, out) -> np.ndarray | float:
     """Contract kernel output (covariant) with k^a on its first index."""
     k = _four_vector(k)
-    out = np.asarray(out, dtype=float)
+    out = np.asarray(out)
     if out.shape[:1] != (4,):
         raise ValueError(f"expected an output whose first axis is 4, got shape {out.shape}")
-    check_finite(out, "output entries")
+    out = np.asarray(check_finite(out, "output entries"), dtype=float)
     div = _finite("output divergence", lambda: np.tensordot(k, out, axes=1))  # the first axis, at any rank
     return float(div) if out.ndim == 1 else div
 

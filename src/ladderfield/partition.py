@@ -76,7 +76,9 @@ def _check_mode(spectrum: Spectrum, mode) -> None:
 
 def _row_space_projection(J, spectrum: Spectrum, row_space_tol: float, signed: bool = True) -> np.ndarray:
     """J's components in spectrum order (``signed`` as in spectral._project); RowSpaceError
-    for a zero-mode one above row_space_tol * |J|."""
+    for a zero-mode one above row_space_tol * |J|; ValueError unless row_space_tol >= 0, inf included."""
+    if not row_space_tol >= 0:  # NaN too, which would pass every source
+        raise ValueError(f"row_space_tol must be a non-negative number or inf, got {row_space_tol!r}")
     J = check_array(J, (spectrum.n_modes,), "source entries", float)
     proj = _project(spectrum, J, signed)
     if spectrum.zero_modes and row_space_tol < np.inf:  # numpy.inf skips the check

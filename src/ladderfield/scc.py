@@ -87,10 +87,10 @@ class SccSystem(_LazyArrays):
     ``K`` takes the dense matrix, or build_system's zero-argument builder of
     its nonzeros; ``boundary`` the dense matrix or a zero-argument builder of
     it.  Each builder runs on the first read.  ``size``, ``verify_scc`` and
-    the dense ``K`` read K's nonzeros, which a system given a dense K, by
-    this constructor or ``dataclasses.replace``, derives from that K.
-    ``repr`` leaves K and the boundary out, and ``==`` is identity, so
-    neither builds them.
+    the dense ``K`` read K's nonzeros, which a system given a dense K derives
+    from that K.  ``dataclasses.replace`` reads every field, so it builds the
+    dense K and boundary of the system it copies.  ``repr`` leaves K and the
+    boundary out, and ``==`` is identity, so neither builds them.
     """
 
     n: int

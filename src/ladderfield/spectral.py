@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .chain_complex import (
     _kept,
     _ReadOnlyState,
     check_coupling,
+    check_finite,
     check_n,
     check_square,
     check_symmetric,
@@ -145,7 +146,7 @@ def _sign_fix(vecs: np.ndarray) -> np.ndarray:
 
 def _symmetric_eigh(K) -> tuple[np.ndarray, np.ndarray]:
     """Dense eigensolve of a square symmetric matrix; ValueError otherwise."""
-    return np.linalg.eigh(check_symmetric(check_square(np.asarray(K, dtype=float))))
+    return np.linalg.eigh(check_symmetric(check_square(np.asarray(K))))
 
 
 def _mode_tags(modes: np.ndarray, beta, continued: bool) -> tuple:
@@ -181,14 +182,14 @@ def ladder_spectrum_closed_form(n_vertices: int, beta: float = 1.0) -> Spectrum:
 
     Eigenvalues are 4 beta s_j^2 and beta (2 + 4 s_j^2) as in the module docstring;
     eigenvectors come out orthonormal by construction, on first read.
-    The spectra of one (N, beta) share its kept eigenvalues, tags and basis.  A real beta
-    is keyed by type and repr, so 0, 0.0 and -0.0 are three keys; any other is built per call.
+    The spectra of one (N, beta) share its kept eigenvalues, tags and basis.  beta is keyed
+    by type and repr, so 0, 0.0 and -0.0 are three keys.
     """
     n = check_n(n_vertices)
     beta = check_coupling(beta)
     build = partial(_mode_tags, np.arange(n), beta, False)
     key = (type(beta), repr(beta))
-    tags = _kept(n, "closed form", build, key) if isinstance(beta, Real) else build()
+    tags = _kept(n, "closed form", build, key)
     return _from_modes(tags, beta, "euclidean")
 
 
@@ -204,7 +205,7 @@ def lorentzian_operator(K: np.ndarray, beta: float = 1) -> np.ndarray:
     Integer K with an Integral beta stays exact int64, with ValueError where
     an entry could leave the int64 range; anything else comes out float64.
     """
-    K = check_square(np.asarray(K))
+    K = check_finite(check_square(np.asarray(K)), "matrix entries")
     n = check_n(K.shape[0])
     exact = isinstance(check_coupling(beta), Integral) and np.issubdtype(K.dtype, np.integer)
     # entries of K_M are at most max|K| + 2|beta| in magnitude
@@ -234,8 +235,8 @@ def numeric_spectrum(K) -> Spectrum:
     near N = 82 000).  The continued counterpart of such a spectrum is
     ``numeric_spectrum(lorentzian_operator(K))``.
     """
-    K = np.asarray(K, dtype=float)
-    vals, vecs = _symmetric_eigh(K)
+    K = check_symmetric(check_square(np.asarray(K)))
+    vals, vecs = np.linalg.eigh(K)
     n = K.shape[0]
 
     parity: list[str | None] = [None] * n

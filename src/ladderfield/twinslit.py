@@ -160,7 +160,7 @@ def phase_exponent(projections, eigenvalues, hbar: float, beta: float) -> float:
     finite and nonzero; a phase past the float range is refused with ValueError.
     """
     _check_divisors(hbar=hbar, beta=beta)
-    a = check_finite(np.asarray(eigenvalues, dtype=float), "eigenvalues")
+    a = np.asarray(check_finite(np.asarray(eigenvalues), "eigenvalues"), dtype=float)
     jt = check_array(projections, a.shape, "projections", float)
     if np.any(a == 0.0):
         raise ValueError("zero eigenvalue passed to phase_exponent; drop null modes first")

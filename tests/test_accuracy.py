@@ -1,8 +1,9 @@
 """Closed-form eigenvalues to the last digit, against references in the standard library's decimal.
 
 Each eigenvalue is formed without cancellation, so the low modes keep every
-digit up to N = 10**6 and the continued j = N/4 mode is exactly 0.0.  The
-N = 10**6 checks are kept together here, and run in a few seconds.
+digit up to N = 10**6 and the continued j = N/4 mode is exactly 0.0.  The float
+routes of verify_scc and classical_solution keep their tolerances at the same sizes.
+The N = 10**6 checks are kept together here, and run in a few seconds.
 """
 
 import contextlib
@@ -16,8 +17,8 @@ import pytest
 from ladderfield._ladder_transform import ladder_eigenvalues
 from ladderfield.chain_complex import build_chain_complex
 from ladderfield.cli import main
-from ladderfield.partition import euclidean_Z
-from ladderfield.scc import build_system, gradient_link_values
+from ladderfield.partition import classical_solution, euclidean_Z
+from ladderfield.scc import SCC_RTOL, build_system, gradient_link_values, verify_scc
 from ladderfield.spectral import continue_to_lorentzian, ladder_spectrum_closed_form
 from ladderfield.twinslit import phase_decomposition
 
@@ -112,6 +113,30 @@ def test_the_zero_source_log_z_is_kirchhoffs_at_a_million_vertices():
     c = build_chain_complex(n)
     log_z = euclidean_Z(build_system(c, 1, np.zeros(3 * n // 2 - 2)), ladder_spectrum_closed_form(n)).log_magnitude
     assert abs(log_z - reference) <= 1e-15 * abs(reference)
+
+
+@pytest.mark.parametrize("n", [4, 400, 100_000, N_LARGE])
+def test_verify_scc_passes_a_random_float_gradient_at_every_size(n):
+    # the identity residual stays near rounding: 4.4e-16 at N = 4 and 5.3e-15 at 10**6
+    c = build_chain_complex(n)
+    v = np.random.default_rng(n).standard_normal(n)
+    report = verify_scc(build_system(c, 1, gradient_link_values(c, v), alpha=1.3, beta=0.7), v)
+    assert not report.exact and report.max_identity_residual < 1e-2 * SCC_RTOL
+
+
+@pytest.mark.parametrize("vertex_values", [None, _smooth], ids=["random_links", "smooth"])
+@pytest.mark.parametrize("n", [4, 400, 100_000, N_LARGE])
+def test_the_classical_solution_is_backward_stable_at_every_size(n, vertex_values):
+    # max|KQ - J| / (|K|_inf max|Q| + max|J|): 4.2e-16 at 10**6, where the smooth source's forward
+    # error is about 1e-5, as cond K of about N**2 allows
+    c = build_chain_complex(n)
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal(c.n_links) if vertex_values is None else gradient_link_values(c, vertex_values(n))
+    system = build_system(c, 1, e)
+    Q = classical_solution(system, ladder_spectrum_closed_form(n))
+    K, J = system._nonzeros, system.J
+    backward = np.max(np.abs(K.dot(Q) - J)) / (K.max_row_l1 * np.max(np.abs(Q)) + np.max(np.abs(J)))
+    assert backward < 1e-14
 
 
 def test_the_spectrum_command_prints_the_low_mode_to_every_digit():

@@ -88,9 +88,75 @@ def test_counts_leave_the_links_and_faces_unbuilt(n):
     g = build_ladder_graph(n)
     assert (g.n_links, g.n_plaquettes) == (3 * n // 2 - 2, n // 2 - 1)
     assert callable(vars(g)["links"]) and callable(vars(g)["plaquettes"])
-    if n < 10**6:  # a graph of caller-given tuples counts them
-        given_tuples = LadderGraph(n, g.links[:-1], g.plaquettes[:1])
-        assert (given_tuples.n_links, given_tuples.n_plaquettes) == (3 * n // 2 - 3, 1)
+    if n < 10**6:  # caller-given tuples that are not the ladder's are refused, so none is counted
+        with pytest.raises(ValueError, match=f"^links do not describe the canonical ladder for N={n}$"):
+            LadderGraph(n, g.links[:-1], g.plaquettes[:1])
+
+
+def _reversed_link(g):
+    links = list(g.links)
+    links[0] = Link(links[0].head, links[0].tail, links[0].kind)
+    return tuple(links), g.plaquettes
+
+
+def _relabelled_rung(g):
+    links = list(g.links)
+    links[-1] = Link(links[-1].tail, links[-1].head, "temporal")
+    return tuple(links), g.plaquettes
+
+
+@pytest.mark.parametrize(
+    "tuples_of, name",
+    [
+        (_reversed_link, "links"),
+        (lambda g: (g.links[:-1], g.plaquettes), "links"),
+        (_relabelled_rung, "links"),
+        (lambda g: (g.links, g.plaquettes[::-1]), "plaquettes"),
+        (lambda g: ((), ()), "links"),
+        (lambda g: (list(g.links), g.plaquettes), "links"),
+    ],
+    ids=["reversed_link", "dropped_link", "relabelled_rung_kind", "swapped_plaquettes", "empty", "list"],
+)
+def test_a_graph_given_other_than_the_canonical_tuples_is_refused(tuples_of, name):
+    # each of these was once accepted, and its boundary_1 read N alone: another graph's matrix
+    with pytest.raises(ValueError, match=f"^{name} do not describe the canonical ladder for N=6$"):
+        LadderGraph(6, *tuples_of(build_ladder_graph(6)))
+
+
+@pytest.mark.parametrize("n", [7, 6.5, float("nan"), 2])
+def test_a_graph_refuses_a_bad_vertex_count_before_its_tuples(n):
+    # LadderGraph(7, (), ()) was accepted with no links, and its boundary_1 was a numpy broadcast error
+    with pytest.raises(ValueError, match=f"^vertex count must be an even integer >= 4, got {re.escape(repr(n))}$"):
+        LadderGraph(n, (), ())
+
+
+def test_a_graph_keeps_the_int_of_its_vertex_count():
+    g = build_ladder_graph(6)
+    given = LadderGraph(6.0, g.links, g.plaquettes)
+    assert type(given.n_vertices) is int and given.n_links == 7 and type(given.n_links) is int
+    assert given == g and hash(given) == hash(g) and repr(given) == "LadderGraph(n_vertices=6)"
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 44, 400])
+def test_every_accepted_graph_has_the_incidence_of_its_own_links(n):
+    g = build_ladder_graph(n)
+    given = LadderGraph(n, g.links, g.plaquettes)
+    d1 = np.zeros((n, given.n_links), dtype=np.int64)
+    for column, link in enumerate(given.links):
+        d1[link.tail - 1, column], d1[link.head - 1, column] = -1, 1
+    assert len(given.links) == given.n_links and len(given.plaquettes) == given.n_plaquettes
+    assert_array_equal(boundary_1(given), d1)
+
+
+def test_equality_hash_and_repr_of_a_million_vertex_graph_build_no_tuples():
+    # these once built and compared 2 x 1.5 M Links: 6.6 to 9.4 s and 914 MB
+    a, b = build_ladder_graph(10**6), build_ladder_graph(10**6)
+    start = time.perf_counter()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "LadderGraph(n_vertices=1000000)"
+    assert a != build_ladder_graph(10**6 - 2)
+    assert time.perf_counter() - start < 0.1
+    for g in (a, b):
+        assert callable(vars(g)["links"]) and callable(vars(g)["plaquettes"])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, -4, 13])

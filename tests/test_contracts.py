@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderfield
-from ladderfield.chain_complex import build_chain_complex, build_ladder_graph, check_n, parse_graph
+from ladderfield.chain_complex import LadderGraph, build_chain_complex, build_ladder_graph, check_n, parse_graph
 from ladderfield.errors import RowSpaceError, SccViolation
 from ladderfield.gauge_continuum import (
     fierz_pauli_apply,
@@ -72,6 +72,7 @@ from ladderfield.twinslit import (
 N_ENTRY_POINTS = {
     "check_n": check_n,
     "build_ladder_graph": build_ladder_graph,
+    "LadderGraph": lambda n: LadderGraph(n, (), ()),
     "ladder_spectrum_closed_form": ladder_spectrum_closed_form,
     "trig_lemmas": trig_lemmas,
     "phase_decomposition": lambda n: phase_decomposition(np.zeros(7), n, 1.0, 1.0, 1.0),
@@ -200,6 +201,15 @@ COUPLING_ENTRY_POINTS = {
 def test_every_entry_point_refuses_a_non_finite_coupling(entry, beta):
     # RuntimeWarning is an error in this suite, so a numpy warning on the way fails too
     message = f"coupling beta must be finite, got {beta!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        COUPLING_ENTRY_POINTS[entry](beta)
+
+
+@pytest.mark.parametrize("beta", [1j, np.complex128(1.0), "1", None])
+@pytest.mark.parametrize("entry", sorted(COUPLING_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_coupling_that_is_not_real(entry, beta):
+    # a complex beta was once a TypeError from math.isfinite
+    message = f"coupling beta must be a real number, got {beta!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         COUPLING_ENTRY_POINTS[entry](beta)
 
@@ -343,9 +353,10 @@ ARRAY_ENTRY_POINTS = {
 }
 
 _ARRAY_CASES = [
-    (entry, bad) for entry in sorted(ARRAY_ENTRY_POINTS) for bad in (np.nan, np.inf, -np.inf, "shape")
+    (entry, bad) for entry in sorted(ARRAY_ENTRY_POINTS) for bad in (np.nan, np.inf, -np.inf, "shape", 1j, "text")
     if bad != "shape" or ARRAY_ENTRY_POINTS[entry][3] is not None
 ]
+_NOT_REAL = "must be floats or integers within the int64 range (|x| < 2**63)"
 
 
 @pytest.mark.parametrize("entry, bad", _ARRAY_CASES, ids=[f"{entry}-{bad}" for entry, bad in _ARRAY_CASES])
@@ -355,6 +366,8 @@ def test_every_array_entry_point_names_its_non_finite_entries(entry, bad):
     call, what, shape, wrong = ARRAY_ENTRY_POINTS[entry]
     if bad == "shape":
         x, message = wrong, f"{what} have shape {np.shape(wrong)}, expected {shape}"
+    elif bad in (1j, "text"):  # a complex array was once cast to float with a ComplexWarning
+        x, message = np.full(shape, bad), f"{what} {_NOT_REAL}"
     else:
         x, message = np.ones(shape), f"{what} must be finite"
         x.flat[-1] = bad
@@ -710,6 +723,30 @@ def test_null_residual_is_scale_free_down_to_subnormal_entries(kernel_scale, dir
     expected = null_residual(kernel, direction)
     assert expected == pytest.approx(1 / 2**1.5, rel=1e-15)
     assert null_residual(kernel * kernel_scale, direction * direction_scale) == pytest.approx(expected, rel=1e-12)
+
+
+CAST_ENTRY_POINTS = {
+    "numeric_spectrum": (numeric_spectrum, "matrix entries"),
+    "null_space_basis": (null_space_basis, "matrix entries"),
+    "fierz_pauli_apply": (lambda h: fierz_pauli_apply(_K, h), "matrix entries"),
+    "lorentzian_operator": (lorentzian_operator, "matrix entries"),
+    "sym_to_vec": (sym_to_vec, "tensor entries"),
+    "null_space_dimension": (null_space_dimension, "kernel entries"),
+    "null_residual": (lambda kernel: null_residual(kernel, np.ones(4)), "kernel entries"),
+    "output_divergence": (lambda out: output_divergence(_K, out), "output entries"),
+    "phase_exponent": (lambda a: phase_exponent(np.ones((4, 4)), a, 1.0, 1.0), "eigenvalues"),
+}
+
+
+@pytest.mark.parametrize("bad", [1j, "text"], ids=["complex", "text"])
+@pytest.mark.parametrize("entry", sorted(CAST_ENTRY_POINTS))
+def test_readers_that_cast_to_float_check_the_entries_first(entry, bad):
+    # each once cast first: a ComplexWarning for complex entries, numpy's own ValueError for text
+    call, what = CAST_ENTRY_POINTS[entry]
+    x = np.eye(4).astype(type(bad))
+    x[0, 0] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} {_NOT_REAL}')}$"):
+        call(x)
 
 
 @pytest.mark.parametrize("shape", [(3,), (), (3, 4), (10, 4, 4)])

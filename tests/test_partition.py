@@ -83,6 +83,32 @@ def test_out_of_row_space_source_raises():
     assert_allclose(res.log_magnitude, euclidean_Z(system, s).log_magnitude, rtol=1e-12)
 
 
+ROW_SPACE_ENTRY_POINTS = {
+    "euclidean_Z": lambda system, s, **tol: euclidean_Z(system, s, **tol),
+    "classical_solution": lambda system, s, **tol: classical_solution(system, s, **tol),
+    "outcome_probability": lambda system, s, **tol: outcome_probability(system, s, 1, 0.0, **tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1, -1e-300, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ROW_SPACE_ENTRY_POINTS))
+def test_a_row_space_tolerance_that_is_nan_or_negative_is_refused(entry, tol):
+    # a NaN tolerance once skipped the check, so J = ones(6) gave a log Z of 2.3448; -1 refused
+    # even a gradient whose zero-mode component is exactly 0.0
+    call = ROW_SPACE_ENTRY_POINTS[entry]
+    c, s = build_chain_complex(6), ladder_spectrum_closed_form(6)
+    inside = build_system(c, 1, gradient_link_values(c, np.arange(6)))
+    outside = replace(inside, J=np.ones(6))
+    with pytest.raises(RowSpaceError, match="zero mode"):
+        call(outside, s)
+    call(outside, s, row_space_tol=np.inf)  # inf still skips the check
+    call(inside, s, row_space_tol=0.0)
+    message = f"row_space_tol must be a non-negative number or inf, got {tol!r}"
+    for system in (inside, outside):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(system, s, row_space_tol=tol)
+
+
 def test_negative_restricted_eigenvalue_rejected():
     system, _ = make_system(6, 2)
     lor = continue_to_lorentzian(ladder_spectrum_closed_form(6), 6)
