@@ -129,8 +129,8 @@ def check_coupling(value, name="beta"):
 
 
 def check_finite(a, what: str):
-    """``a`` unchanged, dtype included; ValueError unless it holds bools, integers or floats, all finite."""
-    if a.dtype.kind not in "biuf":  # complex, text, or numpy's object array of integers past int64
+    """``a`` unchanged, dtype included; ValueError unless it holds bools, int64-range integers or floats, all finite."""
+    if a.dtype.kind not in "biuf" or a.dtype.kind == "u" and a.max(initial=0) >= 2**63:  # complex, text, object
         raise ValueError(f"{what} must be floats or integers within the int64 range (|x| < 2**63)")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
@@ -191,13 +191,16 @@ class _Nonzeros(_ReadOnlyState):
             _frozen(a)
 
     @classmethod
-    def of(cls, matrix) -> "_Nonzeros":
-        """The nonzeros of a dense 2-D matrix (a _Nonzeros is returned as it is)."""
+    def of(cls, matrix, what: str) -> "_Nonzeros":
+        """The nonzeros of a dense 2-D matrix whose entries ``what`` check_finite reads, bool and
+        unsigned ones held as int64 (a _Nonzeros is returned as it is)."""
         if isinstance(matrix, cls):
             return matrix
-        matrix = np.asarray(matrix)
+        matrix = check_finite(np.asarray(matrix), what)
         if matrix.ndim != 2:
             raise ValueError(f"a boundary matrix must be 2-D, got shape {matrix.shape}")
+        if matrix.dtype.kind in "bu":  # int64 is what every integer product and sum runs in
+            matrix = matrix.astype(np.int64)
         cols, rows = np.nonzero(matrix.T)
         return cls(matrix.shape, rows, cols, matrix[rows, cols])
 
@@ -434,7 +437,10 @@ class ChainComplex(_LazyBoundaries):
 
     ``nonzeros`` holds the (d1, d2) triplets, taken on construction from the
     dense matrices a caller passes, or shared with the ladder table by
-    build_chain_complex and from_graph; every operator reads them.  The dense
+    build_chain_complex and from_graph; every operator reads them.  The
+    constructor refuses (ValueError) dense entries check_finite refuses, and
+    a d1 and d2 whose link dimensions differ; bool and unsigned entries are
+    held as int64.  The dense
     ``d1`` and ``d2`` are built from them on first read and kept.  ``repr``
     leaves both out, and ``==`` is identity, so neither builds them.
     """
@@ -444,7 +450,9 @@ class ChainComplex(_LazyBoundaries):
     nonzeros: tuple[_Nonzeros, _Nonzeros] = field(init=False, repr=False)
 
     def __post_init__(self):
-        d1, d2 = _Nonzeros.of(vars(self)["d1"]), _Nonzeros.of(vars(self)["d2"])
+        d1, d2 = _Nonzeros.of(vars(self)["d1"], "d1 entries"), _Nonzeros.of(vars(self)["d2"], "d2 entries")
+        if d1.shape[1] != d2.shape[0]:
+            raise ValueError(f"d1 has shape {d1.shape} but d2 has shape {d2.shape}; link dimensions must agree")
         vars(self).update(d1=d1, d2=d2, nonzeros=(d1, d2))
 
     @classmethod
@@ -504,12 +512,9 @@ def validate_complex(c: ChainComplex) -> ValidationReport:
     Checks: every d1 column is one +1 and one -1 (a genuine link), d1
     columns sum to zero, every d2 column has four nonzero entries that
     balance in sign, and the composition d1 @ d2 vanishes.  A d1 and d2
-    whose link dimensions differ are a hard error, not a failed check.
+    whose link dimensions differ never make a complex: its constructor refuses them.
     """
     d1, d2 = c.nonzeros
-    if d1.shape[1] != d2.shape[0]:
-        raise ValueError(f"d1 has shape {d1.shape} but d2 has shape {d2.shape}; link dimensions must agree")
-
     checks = []
 
     n_links = d1.shape[1]

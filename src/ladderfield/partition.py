@@ -100,15 +100,22 @@ def _outside_row_space(component: float, J: np.ndarray, rtol: float = ROW_SPACE_
 
 
 def _retained(system: SccSystem, spectrum: Spectrum, row_space_tol: float, signed: bool = True):
-    """Projections and eigenvalues over nonzero modes, all of which must be positive."""
-    proj = _row_space_projection(system.J, spectrum, row_space_tol, signed)
+    """Projections and eigenvalues over nonzero modes, all of which must be positive: checked first."""
     keep = _nonzero_mask(spectrum)
     a = spectrum.eigenvalues[keep]
     if np.any(a <= 0.0):
-        raise ValueError(
-            f"non-Gaussian-convergent mode: retained eigenvalue {float(np.min(a)):.6e} <= 0"
-        )
-    return proj[keep], a
+        raise ValueError(f"non-Gaussian-convergent mode: retained eigenvalue {float(np.min(a)):.6e} <= 0")
+    return _row_space_projection(system.J, spectrum, row_space_tol, signed)[keep], a
+
+
+def _log_volume(a: np.ndarray) -> float:
+    """1/2 sum_j log(2 pi / |a_j|): the Gaussian volume of the modes of eigenvalues a."""
+    return float(0.5 * np.sum(np.log(2.0 * np.pi / np.abs(a))))
+
+
+def _result(a: np.ndarray, exponent: float, error: float | None = None, underresolved: bool = False) -> PartitionResult:
+    """The restricted Z over the retained eigenvalues a: their volume plus ``exponent``, zero phase."""
+    return PartitionResult(_log_volume(a) + exponent, 0.0, int(a.size), exponent, error, underresolved)
 
 
 def euclidean_Z(
@@ -124,14 +131,7 @@ def euclidean_Z(
     already projected the source).
     """
     jt, a = _retained(system, spectrum, row_space_tol, signed=False)
-    exponent = _finite("Z exponent", lambda: float(np.sum(jt**2 / (2.0 * a))))
-    log_mag = float(0.5 * np.sum(np.log(2.0 * np.pi / a))) + exponent
-    return PartitionResult(
-        log_magnitude=log_mag,
-        phase=0.0,
-        restricted_dimension=int(a.size),
-        exponent_term=exponent,
-    )
+    return _result(a, _finite("Z exponent", lambda: float(np.sum(jt**2 / (2.0 * a)))))
 
 
 def outcome_probability(
@@ -149,11 +149,10 @@ def outcome_probability(
     """
     _check_mode(spectrum, mode)
     q = float(check_array(outcome, (), "outcome", float))
-    proj = _row_space_projection(system.J, spectrum, row_space_tol)
     a = float(spectrum.eigenvalues[mode])
     if a <= 0.0:
         raise ValueError(f"non-Gaussian-convergent mode: eigenvalue {a:.6e} <= 0")
-    jt = float(proj[mode])
+    jt = float(_row_space_projection(system.J, spectrum, row_space_tol)[mode])
 
     def density():  # about the mean, so a large source and outcome give no inf - inf
         dq = q - jt / a
@@ -225,64 +224,48 @@ def brute_force_Z(
     underresolved when the effective sample size collapses.  The draws
     pass through one fixed block, so memory is O(budget) whatever d is,
     and the seeded result does not depend on the block's size.  The
-    seed is a non-negative integer, or None for fresh entropy.
+    seed is a non-negative integer, or None for fresh entropy.  Refusals
+    precede the projection, in order: method, budget, seed, the quadrature's
+    dimension, a retained eigenvalue <= 0; then the row-space check.
     """
+    if method not in ("quadrature", "mc", "montecarlo"):
+        raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'/'montecarlo'")
     if not _is_integer(budget):
         raise ValueError(f"oracle budget must be an integer, got {budget!r}")
     if seed is not None and not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    quadrature = method == "quadrature"
+    if quadrature and budget < 1:
+        raise ValueError(f"quadrature budget must be a positive node count, got {budget}")
+    if not quadrature and budget < 2:
+        raise ValueError("mc oracle needs at least 2 samples")
+    d = int(np.count_nonzero(_nonzero_mask(spectrum)))  # the retained modes, counted before the projection
+    if quadrature and d > 6:
+        raise ValueError(f"quadrature oracle limited to 6 retained dimensions, got {d}")
     jt, a = _retained(system, spectrum, ROW_SPACE_RTOL)
-    d = int(a.size)
-    log_volume = float(0.5 * np.sum(np.log(2.0 * np.pi / a)))
 
-    if method == "quadrature":
-        if budget < 1:
-            raise ValueError(f"quadrature budget must be a positive node count, got {budget}")
-        if d > 6:
-            raise ValueError(
-                f"quadrature oracle limited to 6 retained dimensions, got {d}"
-            )
+    if quadrature:
         # with no retained axis (d = 0) the node count is moot and the exponent is 0
         nodes = min(max(4, int(round(budget ** (1.0 / max(d, 1))))), 100)
         exponent = _quadrature_exponent(jt, a, nodes)
         coarse = _quadrature_exponent(jt, a, max(4, nodes // 2))
-        err = abs(exponent - coarse)
-        return PartitionResult(
-            log_magnitude=log_volume + exponent,
-            phase=0.0,
-            restricted_dimension=d,
-            exponent_term=exponent,
-            error_estimate=err,
-            underresolved=nodes < 16,
-        )
+        return _result(a, exponent, abs(exponent - coarse), nodes < 16)
 
-    if method in ("mc", "montecarlo"):
-        if budget < 2:
-            raise ValueError("mc oracle needs at least 2 samples")
-        rng = np.random.default_rng(seed)
-        # C order keeps the (budget, d) draw's stream, and division is correctly rounded: no bit moves
-        rows = _MC_BLOCK // max(d, 1)
-        block, scale = np.empty(rows * d), np.tile(np.sqrt(a), rows)
-        log_weights = np.empty(budget)
-        for start in range(0, budget, rows):
-            m = min(rows, budget - start)
-            z = rng.standard_normal(out=block[: m * d])
-            z /= scale[: m * d]  # the draws become Q
-            np.einsum("ij,j->i", z.reshape(m, d), jt, out=log_weights[start : start + m])
-        top = float(np.max(log_weights))
-        w = log_weights - top  # one scratch array, for exp(log_weights - top) and then w
-        exponent = top + math.log(float(np.mean(np.exp(w, out=w))))
-        np.exp(np.subtract(log_weights, exponent, out=w), out=w)  # weights relative to their mean
-        se_rel = float(np.std(w) / math.sqrt(budget))
-        total = float(np.sum(w))
-        ess = total**2 / float(np.sum(np.square(w, out=w)))
-        return PartitionResult(
-            log_magnitude=log_volume + exponent,
-            phase=0.0,
-            restricted_dimension=d,
-            exponent_term=exponent,
-            error_estimate=se_rel,
-            underresolved=bool(budget < 1_000 or ess < 1_000),
-        )
-
-    raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'mc'/'montecarlo'")
+    rng = np.random.default_rng(seed)
+    # C order keeps the (budget, d) draw's stream, and division is correctly rounded: no bit moves
+    rows = _MC_BLOCK // max(d, 1)
+    block, scale = np.empty(rows * d), np.tile(np.sqrt(a), rows)
+    log_weights = np.empty(budget)
+    for start in range(0, budget, rows):
+        m = min(rows, budget - start)
+        z = rng.standard_normal(out=block[: m * d])
+        z /= scale[: m * d]  # the draws become Q
+        np.einsum("ij,j->i", z.reshape(m, d), jt, out=log_weights[start : start + m])
+    top = float(np.max(log_weights))
+    w = log_weights - top  # one scratch array, for exp(log_weights - top) and then w
+    exponent = top + math.log(float(np.mean(np.exp(w, out=w))))
+    np.exp(np.subtract(log_weights, exponent, out=w), out=w)  # weights relative to their mean
+    se_rel = float(np.std(w) / math.sqrt(budget))
+    total = float(np.sum(w))
+    ess = total**2 / float(np.sum(np.square(w, out=w)))
+    return _result(a, exponent, se_rel, bool(budget < 1_000 or ess < 1_000))

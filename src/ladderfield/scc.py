@@ -75,7 +75,7 @@ class _LazyArrays(_ReadOnlyState):
     def _nonzeros(self) -> _Nonzeros:
         """K's nonzeros: from build_system's builder of them, or from the dense K given."""
         K = vars(self)["K"]
-        return K() if callable(K) else _Nonzeros.of(check_square(np.asarray(K)))
+        return K() if callable(K) else _Nonzeros.of(check_square(np.asarray(K)), "operator entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,9 @@ class SccSystem(_LazyArrays):
     its nonzeros; ``boundary`` the dense matrix or a zero-argument builder of
     it.  Each builder runs on the first read.  ``size``, ``verify_scc`` and
     the dense ``K`` read K's nonzeros, which a system given a dense K derives
-    from that K.  ``dataclasses.replace`` reads every field, so it builds the
+    from that K, by the rule the ChainComplex constructor applies to its
+    matrices: ValueError for entries check_finite refuses, bool and unsigned
+    ones held as int64.  ``dataclasses.replace`` reads every field, so it builds the
     dense K and boundary of the system it copies.  ``repr`` leaves K and the
     boundary out, and ``==`` is identity, so neither builds them.
     """
@@ -189,12 +191,9 @@ def verify_scc(system: SccSystem, vertex_values) -> SccReport:
     Raises SccViolation if the source was not built from the gradient of
     ``vertex_values``.
     """
-    v = np.asarray(vertex_values)
-    if v.shape != (system.size,):
-        raise ValueError(f"vertex values have shape {v.shape}, expected ({system.size},)")
-
     K = system._nonzeros
-    J = system.J
+    v = check_array(vertex_values, (system.size,), "vertex values")
+    J = check_array(system.J, (system.size,), "source entries")
     exact = _exact_route(system.alpha, v, K) and _exact_route(system.beta, J)
     if not exact:
         v, J = v.astype(float), J.astype(float)

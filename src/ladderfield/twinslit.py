@@ -55,7 +55,7 @@ import numpy as np
 from ._ladder_transform import dct2, dst1, ladder_eigenvalues, rails, zero_modes
 from .chain_complex import _finite, _is_integer, build_chain_complex, check_array, check_coupling, check_finite, check_n
 from .errors import GaugeObstruction
-from .partition import _check_mode, _outside_row_space, project_source
+from .partition import _check_mode, _log_volume, _outside_row_space, project_source
 from .scc import build_source
 from .spectral import _nonzero_mask, continue_to_lorentzian, ladder_spectrum_closed_form
 
@@ -328,10 +328,7 @@ def conditional_amplitude(
     retained = _nonzero_mask(spectrum)
     retained[mode] = False
     a = spectrum.eigenvalues
-    log_mag = 0.5 * (
-        int(np.count_nonzero(retained)) * math.log(2.0 * math.pi)
-        - float(np.sum(np.log(np.abs(a[retained]))))
-    )
+    log_mag = _log_volume(a[retained])
 
     parts = phase_decomposition(
         links, n, config.alpha, config.hbar, config.beta, regime=LORENTZIAN

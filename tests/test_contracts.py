@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ladderfield
-from ladderfield.chain_complex import LadderGraph, build_chain_complex, build_ladder_graph, check_n, parse_graph
+from ladderfield.chain_complex import ChainComplex, LadderGraph, build_chain_complex, build_ladder_graph, check_n, parse_graph
 from ladderfield.errors import RowSpaceError, SccViolation
 from ladderfield.gauge_continuum import (
     fierz_pauli_apply,
@@ -332,6 +332,7 @@ _C4 = build_chain_complex(4)
 ARRAY_ENTRY_POINTS = {
     "build_source": (lambda x: build_source(_C4, 1, x, 1.0), "cell values", (4,), np.ones(5)),
     "gradient_link_values": (lambda x: gradient_link_values(_C4, x), "vertex values", (4,), np.ones(3)),
+    "verify_scc": (lambda x: verify_scc(build_system(_C4, 1, np.ones(4)), x), "vertex values", (4,), np.ones(5)),
     "project_source": (
         lambda x: project_source(x, ladder_spectrum_closed_form(4)), "source entries", (4,), np.ones(5)
     ),
@@ -375,14 +376,60 @@ def test_every_array_entry_point_names_its_non_finite_entries(entry, bad):
         call(x)
 
 
-@pytest.mark.parametrize("big", [2**70, -(2**63) - 1, 2**64])
+@pytest.mark.parametrize("big", [2**70, -(2**63) - 1, 2**64, "uint64 2**63"])
 @pytest.mark.parametrize("entry", ["build_source", "gradient_link_values"])
 def test_integer_entry_points_refuse_an_integer_past_int64(entry, big):
-    # numpy holds such a list as an object array, on which isfinite raised a TypeError
+    # numpy holds such a list as an object array, on which isfinite raised a TypeError; an unsigned
+    # 2**63 was refused only later, by the int64 product bound and in its words
     call, what, *_ = ARRAY_ENTRY_POINTS[entry]
     message = f"{what} must be floats or integers within the int64 range (|x| < 2**63)"
+    x = np.array([2**63, 0, 0, 0], dtype=np.uint64) if big == "uint64 2**63" else [big, 0, 0, 0]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call([big, 0, 0, 0])
+        call(x)
+
+
+def _scc_check(**fields):
+    """verify_scc on a passing four-vertex system with the given fields replaced."""
+    system = build_system(_C4, 1, gradient_link_values(_C4, np.arange(4)))
+    return verify_scc(replace(system, **fields), np.arange(4))
+
+
+_BAD_MATRICES = {
+    # each once went through: a ComplexWarning, numpy's UFuncTypeError, an overflow message, or a
+    # complex whose link dimensions differ taken by build_system
+    "complex_d1": (lambda: build_operator(ChainComplex(_C4.d1 + 0j, _C4.d2), 1, 1), f"d1 entries {_NOT_REAL}"),
+    "text_d1": (lambda: build_operator(ChainComplex(_C4.d1.astype(str), _C4.d2), 1, 1), f"d1 entries {_NOT_REAL}"),
+    "nan_d1": (
+        lambda: build_operator(ChainComplex(np.where(_C4.d1 == 1, np.nan, _C4.d1), _C4.d2), 1, 1),
+        "d1 entries must be finite",
+    ),
+    "uint64_d1_past_int64": (  # -1 held as 2**64 - 1
+        lambda: build_operator(ChainComplex(_C4.d1.astype(np.uint64), _C4.d2), 1, 1), f"d1 entries {_NOT_REAL}"
+    ),
+    "complex_K": (lambda: _scc_check(K=_C4.d1 @ _C4.d1.T + 0j), f"operator entries {_NOT_REAL}"),
+    "text_K": (lambda: _scc_check(K=(_C4.d1 @ _C4.d1.T).astype(str)), f"operator entries {_NOT_REAL}"),
+    "text_J": (lambda: _scc_check(J=np.zeros(4).astype(str)), f"source entries {_NOT_REAL}"),
+    "nan_J": (lambda: _scc_check(J=np.full(4, np.nan)), "source entries must be finite"),
+    "mismatched_link_dimensions": (
+        lambda: build_system(ChainComplex(_C4.d1, np.ones((5, 1))), 1, np.ones(4)),
+        "d1 has shape (4, 4) but d2 has shape (5, 1); link dimensions must agree",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MATRICES))
+def test_caller_matrices_are_read_by_the_one_rule(case):
+    call, message = _BAD_MATRICES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_bool_and_unsigned_boundaries_are_held_as_int64():
+    d1 = np.abs(_C4.d1).astype(np.uint64)  # the unsigned incidence |d1|
+    for dense in (d1, d1.astype(bool)):
+        c = ChainComplex(dense, _C4.d2)
+        assert c.d1.dtype == np.int64
+        assert np.array_equal(build_operator(c, 1, 2), 2 * (np.abs(_C4.d1) @ np.abs(_C4.d1).T))
 
 
 MODE_ENTRY_POINTS = {

@@ -3,6 +3,7 @@ sampling oracles that never see the closed form."""
 
 import math
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from ladderfield.chain_complex import build_chain_complex
+from ladderfield.chain_complex import _ladder_table, build_chain_complex
 from ladderfield.errors import RowSpaceError
 from ladderfield.partition import (
     _MC_BLOCK,
@@ -289,6 +290,32 @@ def test_unknown_method_rejected():
     s = ladder_spectrum_closed_form(4)
     with pytest.raises(ValueError):
         brute_force_Z(system, s, method="laplace")
+    # the method is read before the source, so a source off the row space is not what is reported
+    with pytest.raises(ValueError, match="^unknown method 'laplace'"):
+        brute_force_Z(replace(system, J=np.ones(4)), s, method="laplace")
+
+
+@pytest.mark.parametrize(
+    "method, continued, message",
+    [
+        ("bogus", False, "unknown method 'bogus'; expected 'quadrature' or 'mc'/'montecarlo'"),
+        ("quadrature", False, "quadrature oracle limited to 6 retained dimensions, got 19999"),
+        ("mc", True, "non-Gaussian-convergent mode: retained eigenvalue -2.000000e+00 <= 0"),
+    ],
+)
+def test_oracle_refusals_the_arguments_and_spectrum_decide_come_before_the_projection(method, continued, message):
+    # a signed projection of a closed form builds all N/2 pivot signs, O(N^2) when cold: about 2 s at this N
+    n = 20_000
+    c = build_chain_complex(n)
+    system = build_system(c, 1, np.ones(c.n_links))
+    s = ladder_spectrum_closed_form(n)
+    if continued:
+        s = continue_to_lorentzian(s, n)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        brute_force_Z(system, s, method=method)
+    assert time.perf_counter() - start < 0.05
+    assert "signs" not in _ladder_table(n)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -500,10 +500,11 @@ def test_build_system_stays_far_from_a_dense_gram():
 
 
 def test_verify_scc_refuses_a_nan_residual():
+    # a NaN vertex value is refused by name, as gradient_link_values refuses it, before any residual
     c = build_chain_complex(4)
     v = np.array([1.0, 2.0, 3.0, 4.0])
     system = build_system(c, 1, gradient_link_values(c, v), alpha=1.0, beta=1.0)
-    with pytest.raises(SccViolation):
+    with pytest.raises(ValueError, match="^vertex values must be finite$"):
         verify_scc(system, np.array([np.nan, 2.0, 3.0, 4.0]))
 
 

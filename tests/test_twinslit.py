@@ -363,19 +363,20 @@ def test_calibration_fixes_coupling_ratio():
         assert_allclose(cfg.alpha**2 / (cfg.hbar * cfg.beta), 2 * math.pi, rtol=1e-15)
 
 
-def test_amplitude_magnitude_from_retained_eigenvalues():
-    cfg = config_six()
+@pytest.mark.parametrize("n", [6, 400, 4000])
+def test_amplitude_magnitude_from_retained_eigenvalues(n):
+    cfg = TwinSlitConfig.calibrated(n, 0.3, 0.4, 0.2, lambda_hat=2.0)
     spectrum = continue_to_lorentzian(
-        ladder_spectrum_closed_form(6, beta=cfg.beta), 6
+        ladder_spectrum_closed_form(n, beta=cfg.beta), n
     )
     mode = 3
     retained = [i for i in spectrum.nonzero_modes if i != mode]
-    expected = 0.5 * (
-        len(retained) * math.log(2 * math.pi)
-        - sum(math.log(abs(spectrum.eigenvalues[i])) for i in retained)
+    expected = 0.5 * math.fsum(
+        [math.log(2 * math.pi)] * len(retained)
+        + [-math.log(abs(spectrum.eigenvalues[i])) for i in retained]
     )
     log_mag, _ = conditional_amplitude(cfg, 1, 0.5, mode)
-    assert_allclose(log_mag, expected, rtol=1e-12)
+    assert_allclose(log_mag, expected, rtol=1e-13)
     # the magnitude does not depend on which graph or outcome
     assert log_mag == conditional_amplitude(cfg, 2, -1.2, mode)[0]
 
