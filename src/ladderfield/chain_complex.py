@@ -54,25 +54,35 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _BuiltOnFirstRead:
-    """A field given either its value or a zero-argument builder of it.
+    """A lazy field: its slot in the instance ``__dict__`` holds its value, or a builder of it, which
+    runs on the first read, once, and leaves its result in the slot; pickle and deepcopy copy either.
+    A builder takes no argument, or the value of the one field ``reads`` names.  Read on the class, it
+    is the descriptor."""
 
-    A builder runs on the field's first read, once; its result replaces it
-    in the instance ``__dict__``, where pickle and deepcopy find either.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
+    def __init__(self, name: str, reads: str | None = None):
+        self.name, self.reads = name, reads
 
     def __get__(self, instance, owner=None):
         if instance is None:
-            raise AttributeError(self.name)  # so the dataclass field has no default
+            return self
         value = instance.__dict__[self.name]
         if callable(value):
-            value = instance.__dict__[self.name] = value()
+            args = () if self.reads is None else (getattr(instance, self.reads),)
+            value = instance.__dict__[self.name] = value(*args)
         return value
 
     def __set__(self, instance, value):
         instance.__dict__[self.name] = value
+
+
+def _lazy(*names: str, **reads: str):
+    """Class decorator, applied over @dataclass: the named fields are lazy, each read by _BuiltOnFirstRead;
+    one given as ``name=source`` has a builder that takes the value of the field ``source``."""
+    def declare(cls):
+        for name, source in {**dict.fromkeys(names), **reads}.items():
+            setattr(cls, name, _BuiltOnFirstRead(name, source))
+        return cls
+    return declare
 
 
 class _ReadOnlyState:
@@ -176,8 +186,8 @@ class _Nonzeros(_ReadOnlyState):
     A ChainComplex's boundaries group their entries by column, in ascending
     column order, so ``dot`` sums each row in ascending column order; ``T``
     groups them by row.  ``zero`` is every other entry: 0, or -0.0 for a
-    float matrix scaled by a negative number.  Calling it builds the dense
-    read-only matrix, so it serves as the builder of a lazy dense field.
+    float matrix scaled by a negative number.  ``dense`` builds the dense
+    read-only matrix; a lazy dense field takes that bound method as its builder.
     """
 
     shape: tuple[int, int]
@@ -204,7 +214,7 @@ class _Nonzeros(_ReadOnlyState):
         cols, rows = np.nonzero(matrix.T)
         return cls(matrix.shape, rows, cols, matrix[rows, cols])
 
-    def __call__(self) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         m = np.zeros(self.shape, dtype=self.vals.dtype)
         if np.signbit(self.zero):
             m.fill(self.zero)
@@ -306,14 +316,9 @@ class Link:
     kind: str
 
 
-class _LazyGraph(_ReadOnlyState):
-    # declared on a private base, so vars(LadderGraph) lists no descriptor
-    links = _BuiltOnFirstRead()
-    plaquettes = _BuiltOnFirstRead()
-
-
+@_lazy("links", "plaquettes")
 @dataclass(frozen=True)
-class LadderGraph(_LazyGraph):
+class LadderGraph(_ReadOnlyState):
     """The canonical ladder graph on N vertices, with 1-based vertex ids and rail-major link order.
 
     ``plaquettes`` holds, per face, the four signed 1-based link indices of its oriented boundary
@@ -425,14 +430,9 @@ def boundary_2(graph: LadderGraph) -> np.ndarray:
     return ChainComplex.from_graph(graph).d2
 
 
-class _LazyBoundaries(_ReadOnlyState):
-    # declared on a private base, so vars(ChainComplex) lists no descriptor
-    d1 = _BuiltOnFirstRead()
-    d2 = _BuiltOnFirstRead()
-
-
+@_lazy("d1", "d2")
 @dataclass(frozen=True, eq=False)
-class ChainComplex(_LazyBoundaries):
+class ChainComplex(_ReadOnlyState):
     """Boundary pair (d1, d2) with d1 @ d2 == 0, held as their nonzeros.
 
     ``nonzeros`` holds the (d1, d2) triplets, taken on construction from the
@@ -440,9 +440,9 @@ class ChainComplex(_LazyBoundaries):
     build_chain_complex and from_graph; every operator reads them.  The
     constructor refuses (ValueError) dense entries check_finite refuses, and
     a d1 and d2 whose link dimensions differ; bool and unsigned entries are
-    held as int64.  The dense
-    ``d1`` and ``d2`` are built from them on first read and kept.  ``repr``
-    leaves both out, and ``==`` is identity, so neither builds them.
+    held as int64.  The dense ``d1`` and ``d2`` are lazy fields, built by
+    ``_Nonzeros.dense``.  ``repr`` leaves both out, and ``==`` is identity,
+    so neither builds them.
     """
 
     d1: np.ndarray = field(repr=False)
@@ -453,7 +453,7 @@ class ChainComplex(_LazyBoundaries):
         d1, d2 = _Nonzeros.of(vars(self)["d1"], "d1 entries"), _Nonzeros.of(vars(self)["d2"], "d2 entries")
         if d1.shape[1] != d2.shape[0]:
             raise ValueError(f"d1 has shape {d1.shape} but d2 has shape {d2.shape}; link dimensions must agree")
-        vars(self).update(d1=d1, d2=d2, nonzeros=(d1, d2))
+        vars(self).update(d1=d1.dense, d2=d2.dense, nonzeros=(d1, d2))
 
     @classmethod
     def from_graph(cls, graph: LadderGraph) -> "ChainComplex":
@@ -621,6 +621,6 @@ INTERLEAVED_FROM_RAIL_MAJOR = (1, 3, 5, 6, 4, 2, 7)
 
 def six_vertex_interleaved_complex() -> ChainComplex:
     """The N=6 boundary pair with links renumbered per the interleaved order."""
-    d1, d2 = (d() for d in _ladder_boundaries(6))  # built apart from the ladder table
+    d1, d2 = (d.dense() for d in _ladder_boundaries(6))  # built apart from the ladder table
     order = np.argsort(INTERLEAVED_FROM_RAIL_MAJOR)  # rail-major index of each interleaved link
     return ChainComplex(d1[:, order], d2[order])

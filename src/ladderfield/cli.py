@@ -36,6 +36,8 @@ _TWINSLIT_HEADER = "y,delta_phi,n_nearest,is_maximum,nrqm_intensity"
 #: Table rows, each formatted by one "%" operation: "%.12g" prints a float as _fmt does.
 _SPECTRUM_ROW = "%d,%.12g,%s,%s"
 _TWINSLIT_ROW = "%.12g,%.12g,%d,%s,%.12g"
+#: Most cells the ``scc`` operator block prints (N = 8192): a larger N is refused before anything is built.
+SCC_MAX_K_CELLS = 2**26
 
 
 def _fmt(x) -> str:
@@ -142,6 +144,8 @@ def _cmd_scc(args) -> list[str]:
     n = int(v.size)
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match {n} vertex values")
+    if n * n > SCC_MAX_K_CELLS:
+        raise ValueError(f"operator K at N={n} would print {n * n} cells, over the {SCC_MAX_K_CELLS}-cell bound")
     c = build_chain_complex(n)
     e = gradient_link_values(c, v)
     system = build_system(c, 1, e, alpha=args.alpha, beta=args.beta)

@@ -25,18 +25,18 @@ from the ladder table, so each build only scales its values by beta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from .chain_complex import (
     ChainComplex,
-    _BuiltOnFirstRead,
     _exact_route,
     _finite,
     _frozen,
     _is_integer,
     _kept,
+    _lazy,
     _Nonzeros,
     _product,
     _ReadOnlyState,
@@ -57,42 +57,25 @@ def _select_boundary(c: ChainComplex, n: int) -> _Nonzeros:
     return c.nonzeros[n - 1]
 
 
-class _DenseOperator(_BuiltOnFirstRead):
-    """K: the dense matrix given, or else, on its first read, the dense matrix of the nonzeros."""
-
-    def __get__(self, instance, owner=None):
-        if instance is not None and callable(instance.__dict__["K"]):
-            instance.__dict__["K"] = instance._nonzeros()
-        return super().__get__(instance, owner)
-
-
-class _LazyArrays(_ReadOnlyState):
-    # declared on a private base, so vars(SccSystem) lists no descriptor
-    K = _DenseOperator()
-    boundary = _BuiltOnFirstRead()
-
-    @cached_property
-    def _nonzeros(self) -> _Nonzeros:
-        """K's nonzeros: from build_system's builder of them, or from the dense K given."""
-        K = vars(self)["K"]
-        return K() if callable(K) else _Nonzeros.of(check_square(np.asarray(K)), "operator entries")
-
-
+@_lazy("boundary", "_nonzeros", K="_nonzeros")
 @dataclass(frozen=True, eq=False)
-class SccSystem(_LazyArrays):
+class SccSystem(_ReadOnlyState):
     """Operator K, source J, the couplings that built them, and the boundary used.
 
     alpha scales the source (units of momentum), beta the operator
-    (momentum per length), hbar the action quantum used by phase code.
-    ``K`` takes the dense matrix, or build_system's zero-argument builder of
-    its nonzeros; ``boundary`` the dense matrix or a zero-argument builder of
-    it.  Each builder runs on the first read.  ``size``, ``verify_scc`` and
-    the dense ``K`` read K's nonzeros, which a system given a dense K derives
-    from that K, by the rule the ChainComplex constructor applies to its
-    matrices: ValueError for entries check_finite refuses, bool and unsigned
-    ones held as int64.  ``dataclasses.replace`` reads every field, so it builds the
-    dense K and boundary of the system it copies.  ``repr`` leaves K and the
-    boundary out, and ``==`` is identity, so neither builds them.
+    (momentum per length), hbar the action quantum used by phase code; the
+    constructor refuses (ValueError) a coupling check_coupling refuses, with
+    build_system's messages.  ``K`` takes the dense matrix, or build_system's
+    zero-argument builder of its nonzeros; ``boundary`` the dense matrix or a
+    zero-argument builder of it.  K's nonzeros, the dense K and the boundary
+    are lazy fields; the dense K's builder takes the nonzeros, and a dense K
+    given is read into nonzeros by the constructor, by the ChainComplex rule
+    (check_finite; bool and unsigned entries held as int64).  ``repr`` leaves
+    K and the boundary out, and ``==`` is identity, so neither builds them.
+    ``dataclasses.replace`` reads every init field, so it builds the dense K
+    and boundary it copies: a copy cannot carry an unbuilt K while ``K``
+    reads as an array.  A system for another source comes from build_system
+    on the same complex, which builds no operator.
     """
 
     n: int
@@ -102,6 +85,15 @@ class SccSystem(_LazyArrays):
     K: np.ndarray = field(repr=False)
     J: np.ndarray
     boundary: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "hbar"):
+            check_coupling(vars(self)[name], name)
+        K = vars(self)["K"]
+        if callable(K):
+            vars(self).update(_nonzeros=K, K=_Nonzeros.dense)
+        else:
+            vars(self)["_nonzeros"] = _Nonzeros.of(check_square(np.asarray(K)), "operator entries")
 
     @property
     def size(self) -> int:
@@ -128,7 +120,7 @@ def _operator(c: ChainComplex, n: int, beta: float) -> _Nonzeros:
 
 def build_operator(c: ChainComplex, n: int, beta: float) -> np.ndarray:
     """K = beta * d_n @ d_n.T, summed over d_n's nonzeros.  Integer beta keeps the result exact."""
-    return _operator(c, n, beta)()
+    return _operator(c, n, beta).dense()
 
 
 def build_source(c: ChainComplex, n: int, cell_values, alpha: float) -> np.ndarray:
@@ -155,7 +147,7 @@ def build_system(
         alpha=alpha,
         beta=beta,
         hbar=hbar,
-        K=partial(_operator, c, n, check_coupling(beta)),
+        K=partial(_operator, c, n, beta),
         J=build_source(c, n, cell_values, alpha),
         boundary=partial(getattr, c, f"d{n}"),
     )

@@ -33,12 +33,13 @@ from numbers import Integral
 import numpy as np
 
 from .chain_complex import (
-    _BuiltOnFirstRead,
     _finite,
     _frozen,
     _gap,
     _kept,
+    _lazy,
     _ReadOnlyState,
+    check_array,
     check_coupling,
     check_finite,
     check_n,
@@ -60,14 +61,9 @@ DEGENERACY_RTOL = 1e-9
 PARITY_ATOL = 1e-6
 
 
-class _LazyFields(_ReadOnlyState):
-    # declared on a private base, so vars(Spectrum) lists no descriptor
-    eigenvectors = _BuiltOnFirstRead()
-    degeneracy_groups = _BuiltOnFirstRead()
-
-
+@_lazy("eigenvectors", "degeneracy_groups")
 @dataclass(frozen=True, eq=False)
-class Spectrum(_LazyFields):
+class Spectrum(_ReadOnlyState):
     """Eigenvalues (ascending), eigenvectors (columns), and bookkeeping.
 
     Each eigenvector column has its largest-magnitude entry positive: the
@@ -77,10 +73,11 @@ class Spectrum(_LazyFields):
     parity structure applies.  ``beta`` is the coupling the operator was
     built with, so unit-coupling shape eigenvalues are ``eigenvalues / beta``.
 
-    ``eigenvectors`` and ``degeneracy_groups`` each take a value or a
-    zero-argument builder; a builder runs on the first read and its result
-    is kept, so a caller that reads only eigenvalues never pays for them.
-    ``repr`` leaves both out, and ``==`` is identity, so neither builds them.
+    ``eigenvectors`` and ``degeneracy_groups`` are lazy fields, each a value
+    or a zero-argument builder, so a caller that reads only eigenvalues never
+    pays for them; ``repr`` leaves both out, and ``==`` is identity, so
+    neither builds them.  The constructor refuses (ValueError) eigenvalues
+    that are not a 1-D array check_finite reads, and a beta check_coupling refuses.
 
     A closed-form or continued spectrum also keeps a DCT basis, which builds
     its vectors and projects on its modes without them; one made by
@@ -94,6 +91,10 @@ class Spectrum(_LazyFields):
     degeneracy_groups: tuple[tuple[int, ...], ...] = field(repr=False)
     beta: float = 1.0
     regime: str = "euclidean"
+
+    def __post_init__(self):
+        vars(self)["eigenvalues"] = check_array(self.eigenvalues, (np.size(self.eigenvalues),), "eigenvalues")
+        check_coupling(self.beta)
 
     @property
     def n_modes(self) -> int:

@@ -525,8 +525,11 @@ def test_partition_reads_no_operator_so_only_the_spectrum_bounds_beta():
          "--n 8 does not match 7 link values (N=6)"),
         (None, ("twinslit", "--n", "8", "--d", "4", "--L", "500", "--lambda", "1", "--y-range=0:1:0"),
          "steps must be >= 1"),
+        # the printed K block alone would be 10**12 cells; refused before any operator is built
+        (None, ("scc", "--n", "1000000"),
+         "operator K at N=1000000 would print 1000000000000 cells, over the 67108864-cell bound"),
     ],
-    ids=["comments-only", "unknown-preset", "preset-size", "no-ladder", "size-mismatch", "zero-steps"],
+    ids=["comments-only", "unknown-preset", "preset-size", "no-ladder", "size-mismatch", "zero-steps", "scc-too-large"],
 )
 def test_cli_refusals_name_the_input(tmp_path, contents, argv, message):
     path = tmp_path / "values.txt"

@@ -48,6 +48,7 @@ from ladderfield.scc import (
     verify_scc,
 )
 from ladderfield.spectral import (
+    Spectrum,
     continue_to_lorentzian,
     ladder_spectrum_closed_form,
     lorentzian_operator,
@@ -186,7 +187,27 @@ def test_integer_source_is_exact_or_refused(e, alpha):
 # ---------------------------------------------------------------------------
 # couplings are finite numbers
 
+def _new_system(**couplings):
+    """A four-vertex SccSystem from its constructor, its couplings 1 unless given."""
+    c = build_chain_complex(4)
+    fields = dict(n=1, alpha=1, beta=1, hbar=1.0, K=build_operator(c, 1, 1), J=np.zeros(4), boundary=c.d1)
+    return SccSystem(**{**fields, **couplings})
+
+
+def _replaced_system(**couplings):
+    """dataclasses.replace of a built four-vertex system, with the given couplings."""
+    return replace(build_system(build_chain_complex(4), 1, np.zeros(4)), **couplings)
+
+
+def _new_spectrum(eigenvalues=(0.0, 1.0, 2.0, 3.0), beta=1.0):
+    """A four-mode Spectrum from its constructor."""
+    return Spectrum(np.asarray(eigenvalues), np.eye(4), (None,) * 4, (0,), ((0,), (1,), (2,), (3,)), beta)
+
+
 COUPLING_ENTRY_POINTS = {
+    "SccSystem": lambda beta: _new_system(beta=beta),
+    "SccSystem_replace": lambda beta: _replaced_system(beta=beta),
+    "Spectrum": lambda beta: _new_spectrum(beta=beta),
     "build_operator": lambda beta: build_operator(build_chain_complex(4), 1, beta),
     "build_system": lambda beta: build_system(build_chain_complex(4), 1, np.zeros(4), beta=beta),
     "ladder_spectrum_closed_form": lambda beta: ladder_spectrum_closed_form(6, beta=beta),
@@ -212,6 +233,18 @@ def test_every_entry_point_refuses_a_coupling_that_is_not_real(entry, beta):
     message = f"coupling beta must be a real number, got {beta!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         COUPLING_ENTRY_POINTS[entry](beta)
+
+
+@pytest.mark.parametrize(
+    "value, problem", [(float("nan"), "must be finite"), (1j, "must be a real number"), ("2", "must be a real number")]
+)
+@pytest.mark.parametrize("name", ["alpha", "hbar"])
+@pytest.mark.parametrize("make", [_new_system, _replaced_system], ids=["constructor", "replace"])
+def test_a_system_refuses_the_couplings_build_system_refuses(make, name, value, problem):
+    # verify_scc once reported a NaN alpha as an SccViolation, and a text one as numpy's UFuncTypeError
+    message = f"coupling {name} {problem}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(**{name: value})
 
 
 PHASE_COUPLINGS = {
@@ -410,6 +443,10 @@ _BAD_MATRICES = {
     "text_K": (lambda: _scc_check(K=(_C4.d1 @ _C4.d1.T).astype(str)), f"operator entries {_NOT_REAL}"),
     "text_J": (lambda: _scc_check(J=np.zeros(4).astype(str)), f"source entries {_NOT_REAL}"),
     "nan_J": (lambda: _scc_check(J=np.full(4, np.nan)), "source entries must be finite"),
+    # euclidean_Z once called a NaN eigenvalue an overflow, and a complex one raised a ComplexWarning
+    "nan_eigenvalues": (lambda: _new_spectrum([0.0, np.nan, 2.0, 3.0]), "eigenvalues must be finite"),
+    "complex_eigenvalues": (lambda: _new_spectrum(np.arange(4) + 0j), f"eigenvalues {_NOT_REAL}"),
+    "matrix_eigenvalues": (lambda: _new_spectrum(np.zeros((2, 2))), "eigenvalues have shape (2, 2), expected (4,)"),
     "mismatched_link_dimensions": (
         lambda: build_system(ChainComplex(_C4.d1, np.ones((5, 1))), 1, np.ones(4)),
         "d1 has shape (4, 4) but d2 has shape (5, 1); link dimensions must agree",

@@ -484,7 +484,7 @@ def test_an_integer_operator_carries_the_row_l1_bound_it_would_sum(ladder, beta)
         c = ChainComplex(c.d1 * 2, c.d2)
     system = build_system(c, 1, gradient_link_values(c, np.arange(10)), alpha=1, beta=beta)
     K = system._nonzeros
-    assert vars(K)["max_row_l1"] == int(np.max(np.sum(np.abs(K()), axis=1)))
+    assert vars(K)["max_row_l1"] == int(np.max(np.sum(np.abs(K.dense()), axis=1)))
     assert verify_scc(system, np.arange(10)).exact
 
 
@@ -593,7 +593,7 @@ def test_the_j_only_path_builds_no_operator(monkeypatch, beta):
     brute_force_Z(system, spectrum, method="quadrature", budget=4000)
     brute_force_Z(system, spectrum, method="mc", budget=200, seed=1)
     outcome_probability(system, spectrum, 1, 0.5)
-    assert calls == [] and "_nonzeros" not in vars(system) and callable(vars(system)["K"])
+    assert calls == [] and callable(vars(system)["_nonzeros"]) and callable(vars(system)["K"])
     # the first read makes the nonzeros once, and the dense K reads them
     assert system.size == 6 and len(calls) == 1
     nonzeros = system._nonzeros
